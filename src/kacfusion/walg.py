@@ -275,7 +275,6 @@ def verlinde(
     FusionError.
     """
     S = sm.matrix
-    n = S.shape[0]
     if vacuum is None:
         vacuum = vacuum_index(sm.labels)
     if conj is None:
@@ -283,26 +282,24 @@ def verlinde(
     svac = S[vacuum]
     if np.min(np.abs(svac)) < 1e-12:
         raise FusionError("vacuum S-matrix row has a zero entry")
-    N = np.zeros((n, n, n), dtype=np.int64)
-    max_err = 0.0
-    for a in range(n):
-        for b in range(n):
-            raw = (S[a] * S[b] / svac) @ S[:, conj]
-            for c in range(n):
-                val = raw[c]
-                r = int(round(val.real))
-                err = abs(val - r)
-                max_err = max(max_err, err)
-                if err > 1e-6:
-                    raise FusionError(
-                        f"fusion coefficient {val} at {(a, b, c)} is not an integer"
-                    )
-                if r < 0:
-                    raise FusionError(
-                        f"negative fusion coefficient {r} at {(a, b, c)}"
-                    )
-                N[a, b, c] = r
-    return FusionTensor(labels=tuple(sm.labels), N=N, max_rounding_error=max_err)
+    # raw[a, b, c] = (S[a] * S[b] / svac) @ S[:, conj]
+    raw = (S[:, None, :] * S[None, :, :] / svac) @ S[:, conj]
+    rounded = np.rint(raw.real)
+    err = np.abs(raw - rounded)
+    bad = (err > 1e-6) | (rounded < 0)
+    if bad.any():
+        # the first offending triple in row-major order
+        abc = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        if err[abc] > 1e-6:
+            raise FusionError(
+                f"fusion coefficient {raw[abc]} at {abc} is not an integer"
+            )
+        raise FusionError(f"negative fusion coefficient {int(rounded[abc])} at {abc}")
+    return FusionTensor(
+        labels=tuple(sm.labels),
+        N=rounded.astype(np.int64),
+        max_rounding_error=float(err.max()),
+    )
 
 
 def _integrable_fusion(rs: FiniteRootSystem, level: int) -> Tuple[FusionTensor, Dict]:

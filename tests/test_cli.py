@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import kacfusion.cli as cli_module
+import kacfusion.smatrix as smatrix_module
 from kacfusion.cli import main
 
 
@@ -63,6 +65,24 @@ def test_smatrix_verify_passes(capsys):
     assert len(doc["matrix"]) == 8 and len(doc["matrix"][0][0]) == 2
 
 
+@pytest.mark.parametrize("argv", [["smatrix", "--verify"], ["verify"]])
+def test_s_matrix_built_once(capsys, monkeypatch, argv):
+    calls = []
+    original = smatrix_module.build_smatrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "build_smatrix", counting)
+    monkeypatch.setattr(smatrix_module, "build_smatrix", counting)
+    code, doc, _ = run_json(capsys, argv[0], "--type", "A2", "--pq", "4,3",
+                            *argv[1:])
+    assert code == 0
+    assert doc["relations"]["max_error"] < 1e-9
+    assert len(calls) == 1
+
+
 def test_tmatrix_csv(capsys):
     code, out, _ = run(capsys, "tmatrix", "--type", "A1", "--pq", "3,4",
                        "--format", "csv")
@@ -76,7 +96,7 @@ def test_verify_reports_residuals(capsys):
     code, doc, _ = run_json(capsys, "verify", "--type", "A2", "--pq", "4,3")
     assert code == 0
     assert doc["pass"] is True
-    assert doc["phase_mode_max_diff"] < 1e-12
+    assert doc["spot_check_max_diff"] < 1e-12
     assert set(doc["relations"]) >= {
         "unitarity_error", "s_squared_error", "st_cubed_error", "max_error",
     }
@@ -183,10 +203,3 @@ def test_json_keys_sorted(capsys):
     _, out, _ = run(capsys, "rootsys", "--type", "A2", "--format", "json")
     doc = json.loads(out)
     assert list(doc) == sorted(doc)
-
-
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("KACFUSION_THREADS", "2")
-    code, doc, _ = run_json(capsys, "smatrix", "--type", "A1", "--pq", "3,4")
-    assert code == 0
-    assert doc["relations"]["max_error"] < 1e-9

@@ -17,7 +17,9 @@ from kacfusion import (
     tmatrix_exponents,
     verify_sl2_relations,
 )
-from kacfusion.smatrix import ExactPhase, norm_index
+from kacfusion import smatrix as smatrix_module
+from kacfusion.errors import CapacityError
+from kacfusion.smatrix import norm_index
 
 rng = np.random.default_rng(814)
 
@@ -70,15 +72,43 @@ def test_norm_index_values():
     assert norm_index(level_data("A2", 4, 3)) == 432
 
 
-def test_exact_and_float_phase_modes_agree():
+def _entry_reference(ld, labels):
+    return np.array([[smatrix_entry(ld, a, b) for b in labels] for a in labels])
+
+
+@pytest.mark.parametrize("name,p,q", [
+    ("A1", 7, 3), ("A2", 4, 3), ("B2", 5, 2), ("C2", 5, 2), ("G2", 7, 3),
+    ("B3", 7, 2), ("A4", 6, 1),
+])
+def test_build_matches_entry_reference(name, p, q):
+    ld = level_data(name, p, q)
+    if name == "G2":
+        assert ld.variant == "coprincipal"
+    sm = build_smatrix(ld)
+    assert np.abs(sm.matrix - _entry_reference(ld, sm.labels)).max() < 1e-13
+
+
+def test_build_in_single_row_blocks(monkeypatch):
+    # one row per block: every block offset and the mirrored triangle are used
+    monkeypatch.setattr(smatrix_module, "_BLOCK_TERMS", 1)
     ld = level_data("A2", 4, 3)
-    labels = enumerate_admissible(ld)
-    n = len(labels)
-    for _ in range(12):
-        i, j = rng.integers(n, size=2)
-        a = smatrix_entry(ld, labels[int(i)], labels[int(j)], exact=True)
-        b = smatrix_entry(ld, labels[int(i)], labels[int(j)], exact=False)
-        assert abs(a - b) < 1e-12
+    sm = build_smatrix(ld)
+    assert np.abs(sm.matrix - _entry_reference(ld, sm.labels)).max() < 1e-13
+    assert (sm.matrix == sm.matrix.T).all()
+
+
+def test_build_on_label_subset():
+    ld = level_data("B2", 5, 4)
+    full = build_smatrix(ld)
+    picked = list(range(0, len(full.labels), 3))
+    sub = build_smatrix(ld, tuple(full.labels[i] for i in picked))
+    assert np.abs(sub.matrix - full.matrix[np.ix_(picked, picked)]).max() < 1e-15
+
+
+def test_build_refuses_large_phase_denominator(monkeypatch):
+    monkeypatch.setattr(smatrix_module, "_MAX_DENOMINATOR", 16)
+    with pytest.raises(CapacityError):
+        build_smatrix(level_data("A2", 4, 3))  # D = lcm(12, 4, 3, 9) = 36
 
 
 def test_tmatrix_is_diagonal_unitary():
@@ -119,40 +149,6 @@ def test_rank_one_conformal_weights():
     assert got[Fraction(-6, 5)] == Fraction(-3, 5)
     for lam, h in got.items():
         assert h == lam * (lam + 2) / (4 * ld.m)
-
-
-def test_exact_phase_accumulator():
-    ph = ExactPhase()
-    ph.add(Fraction(1, 3))
-    ph.add(Fraction(4, 3))  # same phase mod 1, coefficients merge
-    ph.add(Fraction(1, 2), -2)
-    val = ph.value()
-    import cmath
-    ref = 2 * cmath.exp(2j * cmath.pi / 3) - 2 * cmath.exp(1j * cmath.pi)
-    assert abs(val - ref) < 1e-15
-    empty = ExactPhase()
-    assert empty.value() == 0
-
-
-try:
-    from hypothesis import given, settings, strategies as st
-
-    @given(st.lists(
-        st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=24),
-                  st.integers(min_value=-3, max_value=3)),
-        max_size=24,
-    ))
-    @settings(max_examples=60, deadline=None)
-    def test_exact_phase_matches_float_sum(terms):
-        import cmath
-        ph = ExactPhase()
-        ref = 0j
-        for theta, coeff in terms:
-            ph.add(theta, coeff)
-            ref += coeff * cmath.exp(2j * cmath.pi * float(theta))
-        assert abs(ph.value() - ref) < 1e-11 * max(1, len(terms))
-except ImportError:
-    pass
 
 
 def test_random_coprime_levels_stay_unitary():
