@@ -18,6 +18,7 @@ edge between nodes 2 and 3 for F4, and for G2 the first root long.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple
 
 from .errors import InvalidTypeError
@@ -200,6 +201,11 @@ class FiniteRootSystem:
     latt_Qstar: Matrix
     fundamental_group_order: int
 
+    def __hash__(self) -> int:
+        # consistent with __eq__, since equal systems have equal spec and d,
+        # and cheap for the lru_caches keyed on root systems
+        return hash((self.spec, self.d))
+
     @property
     def rank(self) -> int:
         return self.spec.rank
@@ -313,51 +319,62 @@ class FiniteRootSystem:
         return f"FiniteRootSystem({self.spec})"
 
 
-def _positive_roots_by_closure(cartan: Matrix, rank: int):
+def _positive_roots_by_closure(cartan, rank: int):
     """Positive roots as integer simple-root coordinates, by height closure.
 
-    A candidate r + alpha_i at height h+1 is a root iff the alpha_i string
-    through r descends further than <r, alpha_i_vee>, which only involves
-    roots of height <= h.
+    cartan is the integer Cartan matrix. A candidate r + alpha_i at height
+    h+1 is a root iff the alpha_i string through r descends further than
+    <r, alpha_i_vee>, which only involves roots of height <= h. Returns the
+    roots ordered by (height, coordinates) with their integer weight
+    coordinates <r, alpha_i_vee>.
     """
     simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    layers = [set(simple)]
-    known = set(simple)
-    while True:
+    weights = {}
+    layer = simple
+    while layer:
         nxt = set()
-        for r in layers[-1]:
+        for r in layer:
             wc = mat_vec(cartan, r)
+            weights[r] = wc
             for i in range(rank):
-                pair_i = wc[i]
                 down = 0
                 probe = list(r)
                 while True:
                     probe[i] -= 1
-                    if tuple(probe) in known:
+                    if tuple(probe) in weights:
                         down += 1
                     else:
                         break
-                if down - pair_i > 0:
+                if down - wc[i] > 0:
                     cand = list(r)
                     cand[i] += 1
                     nxt.add(tuple(cand))
-        if not nxt:
-            break
-        layers.append(nxt)
-        known |= nxt
-    ordered = sorted(known, key=lambda r: (sum(r), r))
-    return ordered
+        layer = nxt
+    ordered = sorted(weights, key=lambda r: (sum(r), r))
+    return ordered, [weights[r] for r in ordered]
+
+
+def _root_norm2(coords, weight_coords, d) -> Fraction:
+    """(alpha, alpha) = sum_i c_i d_i <alpha, alpha_i_vee> for alpha = sum c_i alpha_i."""
+    return sum(c * di * w for c, di, w in zip(coords, d, weight_coords))
 
 
 def build_root_system(spec) -> FiniteRootSystem:
-    """Construct the full exact datum for a simple type.
+    """Construct the full exact datum for a simple type, memoised per type.
 
-    Accepts a RootSystemSpec or a string label. Everything downstream
-    (marks, comarks, dual marks, lattices, index sets) is derived from the
-    Cartan matrix, not hard-coded.
+    Accepts a RootSystemSpec or a string label; both spellings of a type
+    return the same object. Everything downstream (marks, comarks, dual
+    marks, lattices, index sets) is derived from the Cartan matrix, not
+    hard-coded; the positive roots and their squared lengths come from the
+    integer Cartan matrix.
     """
     if not isinstance(spec, RootSystemSpec):
         spec = parse_spec(spec)
+    return _build_root_system(spec)
+
+
+@lru_cache(maxsize=None)
+def _build_root_system(spec: RootSystemSpec) -> FiniteRootSystem:
     cartan, d = _cartan_data(spec)
     return _build_from_cartan(spec, cartan, d)
 
@@ -365,29 +382,28 @@ def build_root_system(spec) -> FiniteRootSystem:
 def _build_from_cartan(spec: RootSystemSpec, cartan: Matrix, d) -> FiniteRootSystem:
     rank = len(cartan)
     d = tuple(frac(x) for x in d)
+    cartan_int = tuple(tuple(int(x) for x in row) for row in cartan)
     cartan_inv = mat_inv(cartan)
     # G_ij = d_j * (A^-1)_ji, symmetric and positive definite
     gram = tuple(
         tuple(d[j] * cartan_inv[j][i] for j in range(rank)) for i in range(rank)
     )
     gram_inv = mat_inv(gram)
-    root_coords = _positive_roots_by_closure(cartan, rank)
-    pos_roots = tuple(mat_vec(cartan, r) for r in root_coords)
+    root_coords, root_weights = _positive_roots_by_closure(cartan_int, rank)
+    pos_roots = tuple(tuple(Fraction(x) for x in wc) for wc in root_weights)
+    norms = [_root_norm2(rc, wc, d) for rc, wc in zip(root_coords, root_weights)]
 
-    def norm2(wc):
-        return sum(
-            wc[i] * sum(gram[i][j] * wc[j] for j in range(rank)) for i in range(rank)
-        )
-
-    long_norm = max(norm2(r) for r in pos_roots)
+    long_norm = max(norms)
     if long_norm != 2:
         raise AssertionError("long root normalisation broken")
-    short_norm = min(norm2(r) for r in pos_roots)
+    short_norm = min(norms)
     rvee = int(Fraction(2) / short_norm)
     theta_coords = root_coords[-1]
     theta = pos_roots[-1]
     short_list = [
-        (rc, wc) for rc, wc in zip(root_coords, pos_roots) if norm2(wc) == short_norm
+        (rc, wc)
+        for rc, wc, n2 in zip(root_coords, pos_roots, norms)
+        if n2 == short_norm
     ]
     theta_short_coords, theta_short = short_list[-1]
 

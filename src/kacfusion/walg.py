@@ -354,15 +354,9 @@ def check_fkw_factorization(ld: LevelData) -> Dict:
     f_main, idx_main = _integrable_fusion(rs, n1)
     f_dual, idx_dual = _integrable_fusion(rsd, n2)
 
-    nn = len(labels)
-    rhs = np.zeros((nn, nn, nn), dtype=np.int64)
-    for a in range(nn):
-        for b in range(nn):
-            for c in range(nn):
-                rhs[a, b, c] = (
-                    f_main.N[idx_main[reps[a][0]], idx_main[reps[b][0]], idx_main[reps[c][0]]]
-                    * f_dual.N[idx_dual[reps[a][1]], idx_dual[reps[b][1]], idx_dual[reps[c][1]]]
-                )
+    i = [idx_main[r[0]] for r in reps]
+    j = [idx_dual[r[1]] for r in reps]
+    rhs = f_main.N[np.ix_(i, i, i)] * f_dual.N[np.ix_(j, j, j)]
     diff = np.abs(lhs.N - rhs)
     report["lhs"] = lhs
     report["rhs"] = rhs

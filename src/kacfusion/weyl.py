@@ -13,6 +13,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Tuple
 
+import numpy as np
+
 from .errors import CapacityError, ChamberError
 from .ratlin import frac, mat_inv, vec, vec_add, vec_neg, vec_scale
 from .rootsys import AffineWeight, FiniteRootSystem, FiniteWeight
@@ -92,53 +94,109 @@ def weyl_order(rs: FiniteRootSystem) -> int:
 def enumerate_weyl(rs: FiniteRootSystem, bound: int = 10**6):
     """All elements of the finite Weyl group, identity first.
 
-    The traversal is breadth first over left multiplication by simple
-    reflections, so the output order is deterministic. Groups larger than
-    the bound are refused up front.
+    The elements are listed by length, as a breadth-first search over left
+    multiplication by simple reflections would list them. Since rho is
+    regular, l(s_i w) > l(w) exactly when the i-th coordinate of w(rho) is
+    positive, so layer l + 1 is {s_i w : w in layer l, w(rho)_i > 0} and only
+    layer l is needed to build it. Candidates are ordered by (parent,
+    generator) and the first occurrence of each is kept, which is the order
+    a queue would give; the sign of every element of layer l is (-1)^l.
+    Each child matrix is a rank-one update of its parent, s_i M = M -
+    alpha_i (x) M[i], in integer numpy arrays. Groups larger than the bound
+    are refused up front.
     """
     order = weyl_order(rs)
     if order > bound:
         raise CapacityError(
             f"Weyl group of {rs.spec} has order {order}, above the bound {bound}"
         )
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    start = weyl_identity(rs.rank)
-    seen = {start.matrix: start}
-    queue = [start]
-    pos = 0
-    while pos < len(queue):
-        w = queue[pos]
-        pos += 1
-        for g in gens:
-            nxt = g.compose(w)
-            if nxt.matrix not in seen:
-                seen[nxt.matrix] = nxt
-                queue.append(nxt)
-    if len(queue) != order:
+    n = rs.rank
+    # column i is alpha_i in fundamental weight coordinates
+    cartan = np.array([[int(x) for x in row] for row in rs.cartan], dtype=np.int64)
+    layer = np.eye(n, dtype=np.int64)[None]
+    out = []
+    sign = 1
+    while len(layer):
+        out.extend(
+            WeylElement(tuple(map(tuple, m)), sign) for m in layer.tolist()
+        )
+        images = layer.sum(axis=2)
+        parent, gen = np.nonzero(images > 0)
+        # s_i(w rho) identifies s_i w, because rho has trivial stabiliser;
+        # a dict keeps first occurrences in order
+        child = images[parent] - cartan[:, gen].T * images[parent, gen][:, None]
+        seen = {}
+        for k, key in enumerate(map(tuple, child.tolist())):
+            seen.setdefault(key, k)
+        first = list(seen.values())
+        parent, gen = parent[first], gen[first]
+        rows = layer[parent, gen]
+        layer = layer[parent] - cartan[:, gen].T[:, :, None] * rows[:, None, :]
+        sign = -sign
+    if len(out) != order:
         raise AssertionError("Weyl enumeration does not match the group order")
-    return tuple(queue)
+    return tuple(out)
 
 
 def to_dominant(rs: FiniteRootSystem, xi, strict: bool = False):
     """Reduce a finite weight to the dominant chamber.
 
     Returns (w, w(xi)) with w(xi) dominant, by greedy reflection at the
-    first negative coordinate. With strict=True a wall point (some zero
-    coordinate after reduction) raises ChamberError.
+    first negative coordinate. Each reflection is the rank-one update
+    v - v_i alpha_i on the weight and on the rows of the matrix of w. With
+    strict=True a wall point (some zero coordinate after reduction) raises
+    ChamberError.
     """
-    cur = vec(xi)
-    w = weyl_identity(rs.rank)
+    cols = _cartan_columns(rs)
+    cur = list(vec(xi))
+    mat = _identity_rows(rs.rank)
+    sign = 1
     cap = rs.num_positive_roots + 2
     for _ in range(cap):
         neg = next((i for i, x in enumerate(cur) if x < 0), None)
         if neg is None:
             if strict and any(x == 0 for x in cur):
                 raise ChamberError("weight lies on a reflection wall")
-            return w, cur
-        s = simple_reflection(rs, neg + 1)
-        cur = s.act(cur)
-        w = s.compose(w)
+            return _weyl_from_rows(mat, sign), tuple(cur)
+        root = cols[neg]
+        _reflect(cur, cur[neg], root)
+        _reflect_rows(mat, mat[neg], root)
+        sign = -sign
     raise ChamberError("dominance reduction did not terminate")
+
+
+def _identity_rows(n: int):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _weyl_from_rows(mat, sign: int) -> WeylElement:
+    return WeylElement(tuple(map(tuple, mat)), sign)
+
+
+@lru_cache(maxsize=None)
+def _cartan_columns(rs: FiniteRootSystem):
+    """Simple roots alpha_i as integer columns, with their nonzero entries."""
+    n = rs.rank
+    return tuple(
+        tuple((r, int(rs.cartan[r][i])) for r in range(n) if rs.cartan[r][i] != 0)
+        for i in range(n)
+    )
+
+
+def _reflect(v: list, pairing, root) -> None:
+    """v -= pairing * root in place; root holds its nonzero (index, entry) pairs."""
+    if pairing:
+        for r, a in root:
+            v[r] -= pairing * a
+
+
+def _reflect_rows(mat: list, row, root) -> None:
+    """Left-multiply the matrix rows by a reflection: M -= root (x) row.
+
+    Rows are rebound, never mutated, so row may be one of them.
+    """
+    for r, a in root:
+        mat[r] = [x - a * y for x, y in zip(mat[r], row)]
 
 
 @dataclass(frozen=True)
@@ -170,10 +228,6 @@ def ext_identity(rank: int) -> ExtAffineElement:
     return ExtAffineElement(tuple(Fraction(0) for _ in range(rank)), weyl_identity(rank))
 
 
-def ext_from_wbar(w: WeylElement) -> ExtAffineElement:
-    return ExtAffineElement(tuple(Fraction(0) for _ in range(len(w.matrix))), w)
-
-
 def affine_action(rs: FiniteRootSystem, y: ExtAffineElement, lam: AffineWeight) -> AffineWeight:
     """Apply t_beta * wbar to an affine weight.
 
@@ -201,16 +255,6 @@ def _node0_data(rs: FiniteRootSystem, variant: str):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _node0_reflection(rs: FiniteRootSystem, q: int, variant: str) -> ExtAffineElement:
-    coeffs, root = _node0_data(rs, variant)
-    n = rs.rank
-    m = tuple(
-        tuple(int(r == c) - int(root[r]) * coeffs[c] for c in range(n))
-        for r in range(n)
-    )
-    return ExtAffineElement(vec_scale(frac(q), root), WeylElement(m, -1))
-
-
 def coroot_basis_Sq(rs: FiniteRootSystem, q: int, variant: str = "principal"):
     """nu images of the level-q chamber coroot basis.
 
@@ -235,14 +279,25 @@ def _affine_reduce(rs, q, variant, k0, fin, eps, cap=200000):
     A condition is violated when its main value is negative, or zero with
     negative eps value. Returns (u, fin', eps') with u in the affine group
     generated by the finite reflections and the level-q node reflection.
+
+    Every reflection is a rank-one update v - <v, a> root: for s_i the
+    pairing a is the i-th coordinate and the root alpha_i; for the node-0
+    reflection the pairing is coeffs . v and the root the relevant highest
+    root, with the level-q shift added to the main value and to the
+    translation. The matrix of u is kept as integer rows and u is built
+    once, on return.
     """
-    coeffs, _ = _node0_data(rs, variant)
-    refl0 = _node0_reflection(rs, q, variant)
+    coeffs, theta = _node0_data(rs, variant)
+    cols = _cartan_columns(rs)
+    node0_root = tuple((r, int(x)) for r, x in enumerate(theta) if x != 0)
     n = rs.rank
-    u = ext_identity(n)
-    fin = vec(fin)
-    eps = vec(eps) if eps is not None else None
-    qk0 = frac(q) * k0
+    fin = list(vec(fin))
+    eps = list(vec(eps)) if eps is not None else None
+    beta = [Fraction(0)] * n
+    mat = _identity_rows(n)
+    sign = 1
+    q = frac(q)
+    qk0 = q * k0
     for _ in range(cap):
         hit = None
         node0_main = qk0 - sum(coeffs[i] * fin[i] for i in range(n))
@@ -257,19 +312,27 @@ def _affine_reduce(rs, q, variant, k0, fin, eps, cap=200000):
                     hit = i + 1
                     break
         if hit is None:
-            return u, fin, eps
+            u = ExtAffineElement(tuple(beta), _weyl_from_rows(mat, sign))
+            return u, tuple(fin), tuple(eps) if eps is not None else None
         if hit == 0:
-            r = refl0
-            fin = vec_add(r.wbar.act(fin), vec_scale(k0, r.beta))
+            _reflect(fin, -node0_main, node0_root)
             if eps is not None:
-                eps = r.wbar.act(eps)
+                _reflect(eps, -node0_eps, node0_root)
+            _reflect(beta, sum(coeffs[i] * beta[i] for i in range(n)) - q, node0_root)
+            _reflect_rows(
+                mat,
+                [sum(coeffs[k] * mat[k][c] for k in range(n)) for c in range(n)],
+                node0_root,
+            )
         else:
-            s = simple_reflection(rs, hit)
-            r = ext_from_wbar(s)
-            fin = s.act(fin)
+            k = hit - 1
+            root = cols[k]
+            _reflect(fin, fin[k], root)
             if eps is not None:
-                eps = s.act(eps)
-        u = r.compose(u)
+                _reflect(eps, eps[k], root)
+            _reflect(beta, beta[k], root)
+            _reflect_rows(mat, mat[k], root)
+        sign = -sign
     raise ChamberError("affine chamber reduction did not terminate")
 
 

@@ -1,11 +1,13 @@
 """Structural data of the finite root systems and their twisted partners."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from kacfusion import (
     InvalidTypeError,
+    RootSystemSpec,
     affine,
     all_specs,
     build_root_system,
@@ -13,6 +15,8 @@ from kacfusion import (
     langlands_dual_datum,
     parse_spec,
 )
+from kacfusion.ratlin import mat_vec
+from kacfusion.rootsys import _root_norm2
 
 # type, marks, comarks, dual_marks, h, hvee, rvee, n_pos, cartan_det
 STRUCTURE = [
@@ -171,3 +175,36 @@ def test_affine_positivity():
         assert rs.affine_is_positive(delta - affine(alpha))
         assert not rs.affine_is_positive(affine(alpha) - delta)
         assert not rs.affine_is_positive(-affine(alpha))
+
+
+@pytest.mark.parametrize("name", [str(s) for s in all_specs()])
+def test_integer_root_data(name):
+    # positive roots are the Cartan images of their simple-root coordinates,
+    # and the one-pass norm formula agrees with the Gram form
+    rs = build_root_system(name)
+    for sys in (rs, dual_root_system(rs)):
+        assert len(sys.positive_roots) == len(sys.positive_root_coords)
+        for alpha, coords in zip(sys.positive_roots, sys.positive_root_coords):
+            assert alpha == mat_vec(sys.cartan, coords)
+            assert all(type(x) is Fraction for x in alpha)
+            weight_coords = tuple(int(x) for x in alpha)
+            assert _root_norm2(coords, weight_coords, sys.d) == sys.norm2_finite(alpha)
+
+
+def test_build_is_memoised_per_type():
+    rs = build_root_system("b3")
+    assert build_root_system(RootSystemSpec("B", 3)) is rs
+    assert build_root_system(" B3 ") is rs
+    assert build_root_system("C3") is not rs
+
+
+def test_hash_consistent_with_equality():
+    for name in ("A3", "B3", "G2", "E6"):
+        rs = build_root_system(name)
+        copy = replace(rs)
+        assert copy == rs and copy is not rs
+        assert hash(copy) == hash(rs)
+        rsd = dual_root_system(rs)
+        assert (rsd == rs) == (rs.rvee == 1)
+        if rsd == rs:
+            assert hash(rsd) == hash(rs)

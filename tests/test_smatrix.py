@@ -45,6 +45,8 @@ def test_su2_sine_closed_form(k):
 @pytest.mark.parametrize("name,p,q", [
     ("A1", 5, 2), ("A1", 2, 5), ("A1", 3, 4), ("A1", 3, 5),
     ("A2", 4, 3), ("B2", 5, 2), ("G2", 7, 3), ("C3", 7, 2),
+    # rank six at p = hvee: Weyl sums of 51840 and 23040 terms
+    ("E6", 12, 1), ("D6", 10, 1),
 ])
 def test_sl2_relations(name, p, q):
     report = verify_sl2_relations(level_data(name, p, q))

@@ -1,11 +1,13 @@
 """Weyl group enumeration, dominance, and extended affine symmetries."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kacfusion import (
+    all_specs,
     build_root_system,
     enumerate_weyl,
     extended_generators,
@@ -13,7 +15,15 @@ from kacfusion import (
     to_dominant,
     weyl_order,
 )
-from kacfusion.weyl import affine_action, ext_identity
+from kacfusion.errors import CapacityError
+from kacfusion.weyl import (
+    ExtAffineElement,
+    WeylElement,
+    _affine_reduce,
+    affine_action,
+    ext_identity,
+    weyl_identity,
+)
 
 rng = np.random.default_rng(20260814)
 
@@ -113,3 +123,155 @@ def test_coprincipal_generators_exist(name):
     rs = build_root_system(name)
     gens = extended_generators(rs, "coprincipal")
     assert len(gens) == len(rs.LJ)
+
+
+# Reference algorithms: the tuple-composition breadth-first search and the
+# matrix-composition chamber reductions that the integer kernels replaced.
+# They are kept here only as oracles.
+
+
+def _bfs_weyl(rs):
+    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    start = weyl_identity(rs.rank)
+    seen = {start.matrix}
+    queue = [start]
+    pos = 0
+    while pos < len(queue):
+        w = queue[pos]
+        pos += 1
+        for g in gens:
+            nxt = g.compose(w)
+            if nxt.matrix not in seen:
+                seen.add(nxt.matrix)
+                queue.append(nxt)
+    return queue
+
+
+def _composed_to_dominant(rs, xi):
+    cur = tuple(Fraction(x) for x in xi)
+    w = weyl_identity(rs.rank)
+    while True:
+        neg = next((i for i, x in enumerate(cur) if x < 0), None)
+        if neg is None:
+            return w, cur
+        s = simple_reflection(rs, neg + 1)
+        cur = s.act(cur)
+        w = s.compose(w)
+
+
+def _composed_affine_reduce(rs, q, variant, k0, fin, eps):
+    if variant == "principal":
+        coeffs, root = rs.comarks, rs.theta
+    else:
+        coeffs, root = rs.dual_marks, rs.theta_short
+    n = rs.rank
+    m = tuple(
+        tuple(int(r == c) - int(root[r]) * coeffs[c] for c in range(n))
+        for r in range(n)
+    )
+    refl0 = ExtAffineElement(tuple(q * x for x in root), WeylElement(m, -1))
+    u = ext_identity(n)
+    fin = tuple(Fraction(x) for x in fin)
+    eps = tuple(Fraction(x) for x in eps) if eps is not None else None
+    qk0 = Fraction(q) * k0
+    while True:
+        hit = None
+        node0_main = qk0 - sum(coeffs[i] * fin[i] for i in range(n))
+        node0_eps = (
+            -sum(coeffs[i] * eps[i] for i in range(n)) if eps is not None else 0
+        )
+        if node0_main < 0 or (node0_main == 0 and eps is not None and node0_eps < 0):
+            hit = 0
+        else:
+            for i in range(n):
+                if fin[i] < 0 or (fin[i] == 0 and eps is not None and eps[i] < 0):
+                    hit = i + 1
+                    break
+        if hit is None:
+            return u, fin, eps
+        if hit == 0:
+            r = refl0
+            fin = tuple(
+                x + k0 * b for x, b in zip(r.wbar.act(fin), r.beta)
+            )
+            if eps is not None:
+                eps = r.wbar.act(eps)
+        else:
+            s = simple_reflection(rs, hit)
+            r = ExtAffineElement(rs.zero(), s)
+            fin = s.act(fin)
+            if eps is not None:
+                eps = s.act(eps)
+        u = r.compose(u)
+
+
+SMALL_GROUPS = [str(s) for s in all_specs() if weyl_order(build_root_system(s)) <= 1920]
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_enumeration_matches_composition_bfs(name):
+    rs = build_root_system(name)
+    W = enumerate_weyl(rs)
+    ref = _bfs_weyl(rs)
+    assert [(w.matrix, w.sign) for w in W] == [(w.matrix, w.sign) for w in ref]
+    assert all(type(x) is int for w in W[-3:] for row in w.matrix for x in row)
+
+
+def test_enumeration_a6_signs_and_orbit():
+    rs = build_root_system("A6")
+    W = enumerate_weyl(rs)
+    assert len(W) == weyl_order(rs) == 5040
+    mats = np.array([w.matrix for w in W], dtype=np.int64)
+    dets = np.rint(np.linalg.det(mats)).astype(int)
+    assert (dets == [w.sign for w in W]).all()
+    images = mats.sum(axis=2)
+    assert len(np.unique(images, axis=0)) == len(W)
+
+
+def test_enumeration_bound_refuses_large_groups():
+    with pytest.raises(CapacityError):
+        enumerate_weyl(build_root_system("E7"))
+    with pytest.raises(CapacityError):
+        enumerate_weyl(build_root_system("B3"), bound=47)
+
+
+@pytest.mark.parametrize("name", ["A1", "A4", "B3", "C4", "D5", "E6", "F4", "G2", "A8"])
+def test_to_dominant_matches_composition(name):
+    rs = build_root_system(name)
+    draw = random.Random(f"dominant-{name}")
+    for _ in range(15):
+        xi = tuple(Fraction(draw.randint(-6, 6), draw.choice([1, 2])) for _ in range(rs.rank))
+        w, dom = to_dominant(rs, xi)
+        w_ref, dom_ref = _composed_to_dominant(rs, xi)
+        assert (w.matrix, w.sign, dom) == (w_ref.matrix, w_ref.sign, dom_ref)
+        assert all(type(x) is Fraction for x in dom)
+
+
+# the coprincipal data of a simply laced type equal the principal data
+@pytest.mark.parametrize("name,variant", [
+    (name, variant)
+    for name in ("A1", "A3", "D4", "D5", "E6", "B2", "C3", "G2", "F4", "B8")
+    for variant in ("principal", "coprincipal")
+    if variant == "principal" or name[0] in "BCFG"
+])
+def test_affine_reduce_matches_composition(name, variant):
+    rs = build_root_system(name)
+    draw = random.Random(f"affine-{name}-{variant}")
+    for trial in range(6):
+        q = draw.randint(1, 3)
+        k0 = Fraction(draw.randint(1, 4), draw.choice([1, 2, 3]))
+        fin = tuple(
+            Fraction(draw.randint(-3, 3), draw.choice([1, 1, 2, 3]))
+            for _ in range(rs.rank)
+        )
+        if trial % 3 == 0:
+            eps = None
+        elif trial % 3 == 1:
+            eps = rs.rho
+        else:
+            eps = tuple(Fraction(draw.randint(-2, 2)) for _ in range(rs.rank))
+        u, out, out_eps = _affine_reduce(rs, q, variant, k0, fin, eps)
+        u_ref, out_ref, eps_ref = _composed_affine_reduce(rs, q, variant, k0, fin, eps)
+        assert u == u_ref
+        assert (out, out_eps) == (out_ref, eps_ref)
+        assert all(type(x) is Fraction for x in out + u.beta)
