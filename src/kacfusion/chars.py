@@ -4,8 +4,10 @@ Characters are ratios of alternating sums of lattice theta functions. All
 modular weights and prefactor exponents are carried as exact rationals;
 floating point enters through the lattice sums, whose truncation radius is
 chosen from the requested tolerance and reported together with a tail
-bound. The scalar Jacobi theta function and its modular transform serve as
-the base case for verification.
+estimate. The Weyl denominator and the x -> 0 limits (psi and the
+character at x = 0) are closed forms from the Macdonald identity. The
+scalar Jacobi theta function and its modular transform serve as the base
+case for verification.
 """
 
 import cmath
@@ -17,12 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from .admissible import AdmissibleLabel, LevelData
-from .errors import (
-    CapacityError,
-    ExtrapolationError,
-    InvalidTypeError,
-    PolarPointError,
-)
+from .errors import CapacityError, InvalidTypeError, PolarPointError
 from .ratlin import lattice_coset_reps, lattice_index, mat_inv, transpose, vec
 from .rootsys import FiniteRootSystem
 from .weyl import enumerate_weyl
@@ -78,7 +75,7 @@ class EvalPoint:
 
 @dataclass(frozen=True)
 class SeriesEval:
-    """A truncated series value with the number of terms and a tail bound."""
+    """A truncated series value with the number of terms and a tail estimate."""
 
     value: complex
     truncation_order: int
@@ -156,30 +153,16 @@ def dual_lattice(rs: FiniteRootSystem, lattice) -> tuple:
     return transpose(mat_inv(gl))
 
 
-def theta_lattice(
-    rs: FiniteRootSystem,
-    lattice,
-    mu,
-    m: int,
-    tau: complex,
-    z=None,
-    t: complex = 0j,
-    tol: float = 1e-10,
-    max_points: int = 2_000_000,
-) -> SeriesEval:
-    """Theta function of a lattice with elliptic and modular variables.
+def _theta_points(rs: FiniteRootSystem, lattice, mu, m: int, tau: complex, z,
+                  tol: float, max_points: int = 2_000_000):
+    """Kept points X of mu + m * lattice, their terms and the tail estimate.
 
-    Theta_{mu,m}(tau, z, t) = e^{2 pi i m t} sum_{gamma in lattice}
-    q^{|mu + m gamma|^2 / 2m} e^{2 pi i (mu + m gamma, z)}.
-    The sum is truncated to an ellipsoid chosen from tol; the returned tail
-    bound is a boundary-shell estimate with a geometric decay ratio.
+    The terms are q^{|X|^2 / 2m} e^{2 pi i (X, z)}. The sum is truncated to an
+    ellipsoid chosen from tol; the tail estimate is a boundary-shell sum
+    with a geometric decay ratio.
     """
     if not (complex(tau).imag > 0):
         raise InvalidTypeError("tau must lie in the upper half plane")
-    n = rs.rank
-    if z is None:
-        z = (0j,) * n
-    z = tuple(complex(v) for v in z)
     G = np.array([[float(x) for x in row] for row in rs.gram])
     Lf = np.array([[float(x) for x in row] for row in lattice])
     Gc = Lf.T @ G @ Lf
@@ -210,7 +193,7 @@ def theta_lattice(
             f"lattice theta enumeration needs {total} points, above {max_points}"
         )
     if total == 0:
-        return SeriesEval(0j, 0, 0.0)
+        return np.zeros((0, rs.rank)), np.zeros(0, dtype=complex), 0.0
     grids = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in zip(los, his)],
                         indexing="ij")
     C = np.stack([g.ravel() for g in grids], axis=1)
@@ -222,8 +205,6 @@ def theta_lattice(
     xz = X @ (G @ zc)
     expo = _TWO_PI_I * (tau * norms / (2 * m)) + _TWO_PI_I * xz
     terms = np.exp(expo)
-    pref = cmath.exp(_TWO_PI_I * m * complex(t))
-    value = pref * complex(terms.sum())
 
     mags = np.abs(terms)
     radii = np.sqrt(np.maximum(norms, 0.0))
@@ -231,8 +212,31 @@ def theta_lattice(
     shell_sum = float(mags[shell].sum()) if shell.any() else float(tol)
     ratio = math.exp(-a * (2 * R * step + step * step) + b * step)
     ratio = min(ratio, 0.95)
-    tail = abs(pref) * shell_sum * ratio / (1 - ratio)
-    return SeriesEval(value, int(X.shape[0]), tail)
+    return X, terms, shell_sum * ratio / (1 - ratio)
+
+
+def theta_lattice(
+    rs: FiniteRootSystem,
+    lattice,
+    mu,
+    m: int,
+    tau: complex,
+    z=None,
+    t: complex = 0j,
+    tol: float = 1e-10,
+    max_points: int = 2_000_000,
+) -> SeriesEval:
+    """Theta function of a lattice with elliptic and modular variables.
+
+    Theta_{mu,m}(tau, z, t) = e^{2 pi i m t} sum_{gamma in lattice}
+    q^{|mu + m gamma|^2 / 2m} e^{2 pi i (mu + m gamma, z)}.
+    The sum is truncated to an ellipsoid chosen from tol; the returned tail
+    estimate is a boundary-shell sum with a geometric decay ratio.
+    """
+    z = (0j,) * rs.rank if z is None else tuple(complex(v) for v in z)
+    X, terms, tail = _theta_points(rs, lattice, mu, m, tau, z, tol, max_points)
+    pref = cmath.exp(_TWO_PI_I * m * complex(t))
+    return SeriesEval(pref * complex(terms.sum()), int(X.shape[0]), abs(pref) * tail)
 
 
 def theta_lattice_check(
@@ -285,33 +289,32 @@ def theta_lattice_check(
     }
 
 
+def _root_pairings(rs: FiniteRootSystem) -> np.ndarray:
+    """Rows (alpha, .) of the invariant form, one per positive root."""
+    G = np.array([[float(x) for x in row] for row in rs.gram])
+    return np.array([[float(c) for c in alpha] for alpha in rs.positive_roots]) @ G
+
+
+def _theta_factors(rs: FiniteRootSystem, tau: complex, z, tol: float = 1e-15):
+    """Theta(tau, (alpha, z)) for each positive root alpha."""
+    u = _root_pairings(rs) @ np.array(z, dtype=complex)
+    return [theta_jacobi(tau, complex(v), tol=tol) for v in u]
+
+
 def theta_g(rs: FiniteRootSystem, tau: complex, z, tol: float = 1e-15) -> complex:
     """Product of theta_jacobi over the pairings of z with positive roots."""
-    z = tuple(complex(v) for v in z)
-    out = 1 + 0j
-    for alpha in rs.positive_roots:
-        u = 0j
-        for i in range(rs.rank):
-            u += float(sum(rs.gram[i][j] * alpha[j] for j in range(rs.rank))) * z[i]
-        out *= theta_jacobi(tau, u, tol=tol)
-    return out
+    return math.prod(_theta_factors(rs, tau, z, tol), start=1 + 0j)
 
 
-def _wall_distance_proxy(rs: FiniteRootSystem, tau: complex, z) -> float:
-    """Smallest |Theta(tau, (alpha, z))| / (2 pi |eta|^3) over positive roots.
-
-    Approximates the distance of z to the nearest reflection wall in the
-    elliptic variable, since Theta has simple zeros exactly on the walls.
-    """
-    eta3 = abs(dedekind_eta(tau)) ** 3
-    z = tuple(complex(v) for v in z)
-    best = math.inf
-    for alpha in rs.positive_roots:
-        u = 0j
-        for i in range(rs.rank):
-            u += float(sum(rs.gram[i][j] * alpha[j] for j in range(rs.rank))) * z[i]
-        best = min(best, abs(theta_jacobi(tau, u)) / (2 * math.pi * eta3))
-    return best
+def _numerator_labels(ld: LevelData, label: AdmissibleLabel):
+    """(sign, q w(nu) + p beta) over W: the signed theta labels of the numerator."""
+    nu = label.nu.finite
+    pbeta = tuple(ld.p * b for b in label.beta)
+    return [
+        (label.ybar.sign * w.sign,
+         tuple(ld.q * a + b for a, b in zip(w.act(nu), pbeta)))
+        for w in enumerate_weyl(ld.rs)
+    ]
 
 
 def char_numerator(
@@ -326,43 +329,42 @@ def char_numerator(
     theta labels while w rotates only nu.
     """
     rs = ld.rs
-    W = enumerate_weyl(rs)
-    m = ld.p * ld.q
-    x = point.x_or_zero(rs.rank)
-    zq = tuple(v / ld.q for v in x)
+    zq = tuple(v / ld.q for v in point.x_or_zero(rs.rank))
     tq = point.t / (ld.q * ld.q)
-    lattice = ld.translation_lattice
-    nu = label.nu.finite
-    pbeta = tuple(ld.p * b for b in label.beta)
+    thetas = _numerator_labels(ld, label)
+    per_tol = tol / len(thetas)
     acc = 0j
     tails = 0.0
     pts = 0
-    per_tol = tol / max(len(W), 1)
-    for w in W:
-        muw = tuple(ld.q * a + b for a, b in zip(w.act(nu), pbeta))
-        ev = theta_lattice(rs, lattice, muw, m, point.tau, zq, tq, tol=per_tol)
-        acc += w.sign * ev.value
-        tails += ev.tail_bound
-        pts = max(pts, ev.truncation_order)
-    return SeriesEval(label.ybar.sign * acc, pts, tails)
-
-
-def _char_denominator(rs: FiniteRootSystem, point: EvalPoint, tol: float) -> SeriesEval:
-    W = enumerate_weyl(rs)
-    x = point.x_or_zero(rs.rank)
-    acc = 0j
-    tails = 0.0
-    pts = 0
-    per_tol = tol / max(len(W), 1)
-    for w in W:
-        ev = theta_lattice(
-            rs, rs.latt_Qvee, w.act(rs.rho), rs.hvee, point.tau, x, point.t,
-            tol=per_tol,
-        )
-        acc += w.sign * ev.value
+    for sign, muw in thetas:
+        ev = theta_lattice(rs, ld.translation_lattice, muw, ld.p * ld.q,
+                           point.tau, zq, tq, tol=per_tol)
+        acc += sign * ev.value
         tails += ev.tail_bound
         pts = max(pts, ev.truncation_order)
     return SeriesEval(acc, pts, tails)
+
+
+def _denominator_constant(rs: FiniteRootSystem, eta: complex) -> complex:
+    """(-1)^{#positive roots} eta^rank, so that the Weyl denominator
+    sum_w eps(w) Theta_{w rho, hvee}(tau, x) equals it times Theta_g(tau, x)
+    (the Macdonald identity)."""
+    return (-1) ** rs.num_positive_roots * eta ** rs.rank
+
+
+def _char_denominator(rs: FiniteRootSystem, point: EvalPoint) -> complex:
+    """Weyl denominator e^{2 pi i hvee t} (-1)^{#positive roots} eta^rank Theta_g.
+
+    Raises PolarPointError within 1e-9 of a reflection wall, read as
+    min_alpha |Theta(tau, (alpha, x))| / (2 pi |eta|^2): Theta has simple
+    zeros on the walls and Theta'(tau, 0) = -2 pi i eta^2.
+    """
+    eta = dedekind_eta(point.tau)
+    factors = _theta_factors(rs, point.tau, point.x_or_zero(rs.rank))
+    if min(map(abs, factors)) < 1e-9 * 2 * math.pi * abs(eta) ** 2:
+        raise PolarPointError("evaluation point lies on a reflection wall")
+    return (cmath.exp(_TWO_PI_I * rs.hvee * point.t)
+            * _denominator_constant(rs, eta) * math.prod(factors))
 
 
 def char_chi(
@@ -374,98 +376,64 @@ def char_chi(
     is already carried by the numerator theta labels: the exact exponent
     h_lambda - c/24 - |lambda+rho|^2 q/2p + (rho, rho)/2 hvee vanishes
     identically by the strange formula, so no external power of q is
-    applied.  Points on a reflection wall raise PolarPointError.
+    applied.  Points on a reflection wall raise PolarPointError.  The
+    truncation order and tail estimate are the numerator's; the
+    denominator is a converged product.
     """
-    rs = ld.rs
-    x = point.x_or_zero(rs.rank)
-    if _wall_distance_proxy(rs, point.tau, x) < 1e-9:
-        raise PolarPointError("evaluation point lies on a reflection wall")
-    num = char_numerator(ld, label, point, tol=tol)
-    den = _char_denominator(rs, point, tol=tol)
-    if den.value == 0:
+    den = _char_denominator(ld.rs, point)
+    if den == 0:
         raise PolarPointError("character denominator vanishes at this point")
-    value = num.value / den.value
-    tail = abs(value) * (
-        num.tail_bound / max(abs(num.value), 1e-300)
-        + den.tail_bound / max(abs(den.value), 1e-300)
-    )
-    return SeriesEval(value, max(num.truncation_order, den.truncation_order), tail)
-
-
-def _neville_even(samples) -> Tuple[complex, float]:
-    """Richardson extrapolation in eps^2 from (eps, value) samples."""
-    xs = [e * e for e, _ in samples]
-    work = [v for _, v in samples]
-    k = len(xs)
-    diag = [work[0]]
-    for level in range(1, k):
-        nxt = []
-        for i in range(k - level):
-            num = xs[i] * work[i + 1] - xs[i + level] * work[i]
-            nxt.append(num / (xs[i] - xs[i + level]))
-        work = nxt
-        diag.append(work[0])
-    value = diag[-1]
-    err = abs(diag[-1] - diag[-2]) if len(diag) > 1 else math.inf
-    if not cmath.isfinite(value):
-        raise ExtrapolationError("extrapolation produced a non-finite value")
-    return value, err
+    num = char_numerator(ld, label, point, tol=tol)
+    value = num.value / den
+    return SeriesEval(value, num.truncation_order,
+                      num.tail_bound / abs(den))
 
 
 def psi_w(
-    ld: LevelData,
-    label: AdmissibleLabel,
-    tau: complex,
-    eps0: float = 0.2,
-    z0=None,
-    depth: int = 4,
-    tol: float = 1e-12,
+    ld: LevelData, label: AdmissibleLabel, tau: complex, tol: float = 1e-12
 ) -> Tuple[complex, float]:
-    """Limit of chi * Theta_g along a generic direction at x -> 0.
+    """The x -> 0 limit of chi * Theta_g, in closed form.
 
-    The direction defaults to nu(rho_vee). The product is symmetrised in
-    eps and extrapolated in eps^2 by a depth-point Neville scheme; returns
-    (value, error_estimate). Degenerate labels give a vanishing limit.
+    By the Macdonald identity chi * Theta_g = N(tau, x) / ((-1)^{#positive
+    roots} eta^rank), so the limit is the numerator at x = 0 over that
+    constant.  Returns (value, error_estimate), the error being the
+    numerator's tail estimate over |eta|^rank.  Degenerate labels give a
+    vanishing limit.
     """
-    rs = ld.rs
-    if z0 is None:
-        z0 = rs.rhovee
-    z0 = tuple(complex(v) for v in z0)
-
-    def sample(e: float) -> complex:
-        x = tuple(e * v for v in z0)
-        pt = EvalPoint(tau, x, 0j)
-        chi = char_chi(ld, label, pt, tol=tol)
-        return chi.value * theta_g(rs, tau, x)
-
-    pairs = []
-    for j in range(depth):
-        e = eps0 / (2**j)
-        pairs.append((e, (sample(e) + sample(-e)) / 2))
-    return _neville_even(pairs)
+    num = char_numerator(ld, label, EvalPoint(tau), tol=tol)
+    den = _denominator_constant(ld.rs, dedekind_eta(tau))
+    return num.value / den, num.tail_bound / abs(den)
 
 
 def char_at_zero(
-    ld: LevelData,
-    label: AdmissibleLabel,
-    tau: complex,
-    eps0: float = 0.1,
-    z0=None,
-    depth: int = 2,
-    tol: float = 1e-12,
+    ld: LevelData, label: AdmissibleLabel, tau: complex, tol: float = 1e-12
 ) -> Tuple[complex, float]:
-    """Extrapolated character value at x = 0 (finite for integrable labels)."""
+    """Character value at x = 0 (finite for integrable labels).
+
+    Numerator and denominator vanish to order #positive roots at x = 0;
+    pi(d_x) = prod_{alpha>0} (alpha, d_x) is applied to both.  On the
+    numerator it weights each lattice point X by prod_alpha 2 pi i (alpha, X)/q.
+    On the denominator it gives (-1)^{#positive roots} eta^rank
+    (-2 pi i eta^2)^{#positive roots} |W| prod_alpha (alpha, rho), from
+    Theta'(tau, 0) = -2 pi i eta^2 and pi(d) pi = |W| pi(rho).  Returns
+    (value, error_estimate).
+    """
     rs = ld.rs
-    if z0 is None:
-        z0 = rs.rhovee
-    z0 = tuple(complex(v) for v in z0)
-
-    def sample(e: float) -> complex:
-        pt = EvalPoint(tau, tuple(e * v for v in z0), 0j)
-        return char_chi(ld, label, pt, tol=tol).value
-
-    pairs = []
-    for j in range(depth):
-        e = eps0 / (2**j)
-        pairs.append((e, (sample(e) + sample(-e)) / 2))
-    return _neville_even(pairs)
+    A = _root_pairings(rs)
+    zero = (0j,) * rs.rank
+    thetas = _numerator_labels(ld, label)
+    per_tol = tol / len(thetas)
+    acc = 0j
+    tails = 0.0
+    for sign, muw in thetas:
+        X, terms, tail = _theta_points(rs, ld.translation_lattice, muw,
+                                       ld.p * ld.q, tau, zero, per_tol)
+        weights = np.prod(_TWO_PI_I * (X @ A.T) / ld.q, axis=1)
+        acc += sign * complex((weights * terms).sum())
+        tails += tail * float(np.abs(weights).max(initial=0.0))
+    eta = dedekind_eta(tau)
+    npos = rs.num_positive_roots
+    pi_rho = math.prod(rs.inner_finite(alpha, rs.rho) for alpha in rs.positive_roots)
+    den = (_denominator_constant(rs, eta) * (-_TWO_PI_I * eta * eta) ** npos
+           * len(thetas) * float(pi_rho))
+    return acc / den, tails / abs(den)

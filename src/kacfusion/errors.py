@@ -29,9 +29,5 @@ class PolarPointError(KacfusionError):
     """A series quotient was evaluated too close to a zero of the denominator."""
 
 
-class ExtrapolationError(KacfusionError):
-    """A numerical limit could not be extrapolated to the requested accuracy."""
-
-
 class FusionError(KacfusionError):
     """Verlinde numbers failed integrality or positivity checks."""

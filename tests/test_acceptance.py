@@ -217,9 +217,9 @@ def test_acceptance_8_psi_modularity():
             sm.matrix[i, j] * vals[j] for j in range(len(labels))
         )
         worst = max(worst, abs(lhs - rhs))
-    ok = worst < 1e-4 and worst_deg < 1e-6
-    report(8, "extrapolated psi transforms by the reduced S-matrix",
-           ok, f"row residual {worst:.2e} < 1e-4, degenerate |psi| {worst_deg:.2e} < 1e-6")
+    ok = worst < 1e-10 and worst_deg < 1e-12
+    report(8, "closed-form psi transforms by the reduced S-matrix",
+           ok, f"row residual {worst:.2e} < 1e-10, degenerate |psi| {worst_deg:.2e} < 1e-12")
 
 
 if __name__ == "__main__":

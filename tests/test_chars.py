@@ -28,6 +28,8 @@ from kacfusion import (
     theta_lattice,
     theta_lattice_check,
 )
+import kacfusion
+from kacfusion import chars
 from kacfusion.chars import _char_denominator, theta_jacobi_sum
 
 rng = np.random.default_rng(31415)
@@ -141,18 +143,30 @@ def test_lattice_theta_transform(name, lattice, m):
 
 # ---------------------------------------------------------- denominator and numerator
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def weyl_sum_denominator(rs, pt, tol):
+    """The Weyl denominator as the alternating theta sum over W(rho)."""
+    W = enumerate_weyl(rs)
+    x = pt.x_or_zero(rs.rank)
+    return sum(
+        w.sign * theta_lattice(rs, rs.latt_Qvee, w.act(rs.rho), rs.hvee, pt.tau,
+                               x, pt.t, tol=tol / len(W)).value
+        for w in W
+    )
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3"])
 def test_denominator_product_identity(name):
     # Macdonald identity: the alternating theta sum over W(rho) at level hvee
     # equals (-1)^{#positive roots} eta^rank times the theta product
     rs = build_root_system(name)
-    for tau in [1.3j, 0.2 + 0.9j]:
+    for tau, t in [(1.3j, 0j), (0.2 + 0.9j, 0.07 + 0.02j)]:
         x = random_point(rs.rank, scale=0.25)
-        pt = EvalPoint(tau, x)
-        lhs = _char_denominator(rs, pt, 1e-12).value
-        rhs = ((-1) ** rs.num_positive_roots
+        pt = EvalPoint(tau, x, t)
+        lhs = weyl_sum_denominator(rs, pt, 1e-12)
+        rhs = ((-1) ** rs.num_positive_roots * cmath.exp(2j * cmath.pi * rs.hvee * t)
                * dedekind_eta(tau) ** rs.rank * theta_g(rs, tau, x))
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
+        assert abs(_char_denominator(rs, pt) - rhs) < 1e-13 * abs(rhs)
 
 
 @pytest.mark.parametrize("name,p,q", [("A1", 5, 2), ("A2", 4, 3)])
@@ -198,9 +212,23 @@ def test_level_one_characters_at_zero():
     ld = level_data("A1", 3, 1)
     labels = enumerate_admissible(ld)
     for lab, which in zip(labels, [0, 1]):
-        v, err = char_at_zero(ld, lab, 2j, depth=3)
-        assert abs(v - su2_level1_reference(2j, which)) < 1e-6
-        assert err < 1e-4
+        v, err = char_at_zero(ld, lab, 2j)
+        assert abs(v - su2_level1_reference(2j, which)) < 1e-12
+        assert err < 1e-12
+
+
+@pytest.mark.parametrize("name,p,q", [("A2", 4, 1), ("B2", 4, 1), ("G2", 5, 1)])
+def test_characters_at_zero_s_transform(name, p, q):
+    # at x = 0 the Gaussian factor is 1: chi(-1/tau, 0) = sum_j S_ij chi_j(tau, 0)
+    ld = level_data(name, p, q)
+    labels = enumerate_admissible(ld)
+    sm = build_smatrix(ld)
+    tau = 0.2 + 1.1j
+    vals = [char_at_zero(ld, lab, tau)[0] for lab in labels]
+    for i, lab in enumerate(labels):
+        lhs = char_at_zero(ld, lab, -1 / tau)[0]
+        rhs = sum(sm.matrix[i, j] * vals[j] for j in range(len(labels)))
+        assert abs(lhs - rhs) < 1e-10 * max(1, abs(lhs))
 
 
 def char_stransform_residual(ld, tau, x, tol=1e-10):
@@ -238,6 +266,21 @@ def test_character_rejects_wall_points():
         char_chi(ld, lab, EvalPoint(1j, (0j,)))
     with pytest.raises(PolarPointError):
         char_chi(ld, lab, EvalPoint(1j, (1.0 + 0j,)))
+
+
+def test_wall_gate_reads_the_distance_to_the_wall():
+    # For A1, (alpha, x) = x; near 0, |Theta(tau, x)| / (2 pi |eta|^2) = |x|
+    # since Theta'(tau, 0) = -2 pi i eta^2. At tau = 0.15i, |eta| = 0.45, so
+    # points 1% either side of the 1e-9 gate tell 2 pi |eta|^2 from any other
+    # power of |eta|.
+    ld = level_data("A1", 5, 2)
+    lab = enumerate_admissible(ld)[0]
+    tau = 0.15j
+    for x in [5e-10, 0.99e-9, 1 - 0.99e-9]:
+        with pytest.raises(PolarPointError):
+            char_chi(ld, lab, EvalPoint(tau, (x,)))
+    for x in [1.01e-9, 1e-6]:
+        assert cmath.isfinite(char_chi(ld, lab, EvalPoint(tau, (x,))).value)
 
 
 def test_eval_point_validation():
@@ -293,6 +336,27 @@ def test_psi_constant_on_classes_and_vanishes_when_degenerate():
     assert abs(vals[Fraction(-6, 5)] - vals[Fraction(-4, 5)]) < 1e-9
 
 
+@pytest.mark.parametrize("name,p,q", [
+    ("A1", 3, 4), ("A2", 4, 3), ("B2", 5, 2), ("C2", 5, 2), ("G2", 7, 3),
+])
+def test_psi_rows_and_degenerate_labels(name, p, q):
+    # every S row of psi at tau = i, and vanishing on degenerate labels; at
+    # B2/C2 (5,2) and G2 (7,3) every label is degenerate
+    ld = level_data(name, p, q)
+    labels = enumerate_admissible(ld)
+    sm = build_smatrix(ld)
+    tau = 1j
+    psis = [psi_w(ld, lab, tau)[0] for lab in labels]
+    assert all(cmath.isfinite(v) for v in psis)
+    pref = (-1j) ** ld.rs.num_positive_roots
+    for i, lab in enumerate(labels):
+        if label_is_degenerate(ld, lab):
+            assert abs(psis[i]) < 1e-12
+        lhs = psi_w(ld, lab, -1 / tau)[0]
+        rhs = pref * sum(sm.matrix[i, j] * psis[j] for j in range(len(labels)))
+        assert abs(lhs - rhs) < 1e-10
+
+
 def test_psi_down_transform_row():
     # psi_lam(-1/tau) = (-i)^{#pos roots} sum_mu a(lam, mu) psi_mu(tau), tau=i
     ld = level_data("A1", 2, 5)
@@ -304,3 +368,11 @@ def test_psi_down_transform_row():
     lhs = psi_w(ld, labels[i], -1 / tau)[0]
     rhs = (-1j) * sum(sm.matrix[i, j] * psis[j] for j in range(len(labels)))
     assert abs(lhs - rhs) < 1e-6
+
+
+# ------------------------------------------------------------------- exports
+
+@pytest.mark.parametrize("module", [kacfusion, chars])
+def test_every_exported_name_resolves(module):
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
