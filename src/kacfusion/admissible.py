@@ -48,8 +48,6 @@ __all__ = [
     "ga_from_beta",
     "label_from_mu",
     "label_is_degenerate",
-    "phi_apply",
-    "phi_inverse",
     "verify_admissible",
 ]
 
@@ -145,36 +143,34 @@ class AdmissibleLabel:
         return f"AdmissibleLabel([{lam}]; level {self.lam.k0})"
 
 
-def phi_apply(ld: LevelData, lam: AffineWeight) -> AffineWeight:
-    """The dilation fixing the finite part, Lambda0 -> Lambda0/q, delta -> q delta."""
-    return AffineWeight(lam.finite, lam.k0 / ld.q, lam.d0 * ld.q)
+def _dominant_weights(coeffs, level: int) -> Tuple[FiniteWeight, ...]:
+    """Dominant integral weights with sum c_i lambda_i <= level, sorted."""
+    out = []
 
+    def rec(prefix, used):
+        i = len(prefix)
+        if i == len(coeffs):
+            out.append(vec(prefix))
+            return
+        for n in range((level - used) // coeffs[i] + 1):
+            rec(prefix + [n], used + coeffs[i] * n)
 
-def phi_inverse(ld: LevelData, lam: AffineWeight) -> AffineWeight:
-    return AffineWeight(lam.finite, lam.k0 * ld.q, Fraction(lam.d0, ld.q))
+    rec([], 0)
+    return tuple(out)
 
 
 def _chamber_nu(ld: LevelData):
     """Regular dominant integral weights of level p in the q = 1 chamber.
 
     Coordinates satisfy n_i >= 1 with sum c_i n_i <= p - 1, where c are the
-    node-0 pairing coefficients of the variant. Output is sorted.
+    node-0 pairing coefficients of the variant: rho plus the dominant weights
+    with sum c_i lambda_i <= p - 1 - sum c_i. Output is sorted.
     """
-    rs, coeffs = ld.rs, ld.node0_coeffs
-    out = []
-
-    def rec(prefix, used):
-        i = len(prefix)
-        if i == rs.rank:
-            out.append(AffineWeight(vec(prefix), Fraction(ld.p), Fraction(0)))
-            return
-        rest_min = sum(coeffs[j] for j in range(i + 1, rs.rank))
-        top = (ld.p - 1 - used - rest_min) // coeffs[i]
-        for n in range(1, top + 1):
-            rec(prefix + [n], used + coeffs[i] * n)
-
-    rec([], 0)
-    return tuple(out)
+    coeffs = ld.node0_coeffs
+    return tuple(
+        AffineWeight(vec_add(lam, ld.rs.rho), Fraction(ld.p), Fraction(0))
+        for lam in _dominant_weights(coeffs, ld.p - 1 - sum(coeffs))
+    )
 
 
 def ga_from_beta(ld: LevelData, beta):

@@ -11,8 +11,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,40 +42,6 @@ from .walg import (
 )
 from .weyl import weyl_order
 
-COMMANDS = (
-    "rootsys",
-    "enumerate",
-    "smatrix",
-    "tmatrix",
-    "verify",
-    "chars-eval",
-    "theta-check",
-    "wlabels",
-    "fusion",
-    "factorize",
-)
-
-
-@dataclass
-class CommandConfig:
-    """Parsed invocation: one command plus its shared numeric options."""
-
-    command: str
-    type: Optional[str] = None
-    p: Optional[int] = None
-    q: Optional[int] = None
-    level: Optional[Fraction] = None
-    tol: float = 1e-9
-    trunc: int = 2_000_000
-    fmt: str = "pretty"
-    seed: int = 0
-    tau: complex = 1j
-    x: Optional[Tuple[complex, ...]] = None
-    t: complex = 0j
-    verify: bool = False
-    lattice: str = "Qvee"
-    index: int = 4
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -84,17 +50,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _parse_pq(text: str) -> Tuple[int, int]:
+    try:
+        p, q = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "--pq expects two comma separated integers") from None
+    return p, q
+
+
+def _parse_level(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"--level expects a rational number, got {text!r}") from None
+
+
 def _parse_complex(text: str) -> complex:
     s = text.strip().replace(" ", "").replace("i", "j")
     if s in ("j", "+j"):
         return 1j
     if s == "-j":
         return -1j
-    return complex(s)
+    try:
+        return complex(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_xlist(text: str) -> Tuple[complex, ...]:
-    return tuple(_parse_complex(tok) for tok in text.split(",") if tok.strip())
+def _parse_xlist(text: str) -> Optional[Tuple[complex, ...]]:
+    """Comma separated coordinates; a blank --x means not given."""
+    xs = tuple(_parse_complex(tok) for tok in text.split(",") if tok.strip())
+    if text and not xs:
+        raise argparse.ArgumentTypeError("--x expects comma separated coordinates")
+    return xs or None
 
 
 def _rat(x) -> object:
@@ -115,101 +105,39 @@ def _matrix(m: np.ndarray) -> List[List[List[float]]]:
     return [[_cx(v) for v in row] for row in m]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="kacfusion", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, level=True, point=False):
-        p.add_argument("--type", required=True, help="root system, e.g. A1, G2, E8")
-        if level:
-            g = p.add_mutually_exclusive_group(required=True)
-            g.add_argument("--pq", help="level numerator,denominator e.g. 5,2")
-            g.add_argument("--level", help="level k as a rational, e.g. -4/3")
-        p.add_argument("--format", choices=("json", "csv", "pretty"),
-                       default="pretty", dest="fmt")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        if point:
-            p.add_argument("--tau", default="i", help="upper half plane point")
-            p.add_argument("--x", default=None, help="comma separated coordinates")
-            p.add_argument("--t", default="0", help="central coordinate")
-
-    p = sub.add_parser("rootsys", help="structural data of a root system")
-    p.add_argument("--type", required=True)
-    p.add_argument("--format", choices=("json", "csv", "pretty"),
-                   default="pretty", dest="fmt")
-
-    common(sub.add_parser("enumerate", help="admissible weights at level p/q"))
-
-    p = sub.add_parser("smatrix", help="modular S-matrix over admissible weights")
-    common(p)
-    p.add_argument("--verify", action="store_true",
-                   help="exit 2 if the modular group relations exceed --tol")
-
-    common(sub.add_parser("tmatrix", help="T-matrix exponents"))
-    common(sub.add_parser("verify", help="modular group relation residuals"))
-    common(sub.add_parser("chars-eval", help="evaluate all characters at a point"),
-           point=True)
-
-    p = sub.add_parser("theta-check", help="theta transformation residuals")
-    p.add_argument("--type", default="A1")
-    p.add_argument("--format", choices=("json", "csv", "pretty"),
-                   default="pretty", dest="fmt")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tau", default="i")
-    p.add_argument("--x", default=None)
-    p.add_argument("--lattice", choices=("Q", "Qvee"), default="Qvee")
-    p.add_argument("--index", type=int, default=4, help="theta index m")
-    p.add_argument("--trunc", type=int, default=2_000_000,
-                   help="lattice point budget")
-
-    common(sub.add_parser("wlabels", help="W-algebra module labels"))
-    common(sub.add_parser("fusion", help="W-algebra fusion rules via Verlinde"))
-    common(sub.add_parser("factorize", help="compare W fusion with the product "
-                          "of integrable fusions"))
-    return top
+def _level_data(args) -> LevelData:
+    rs = build_root_system(args.type)
+    if args.pq is not None:
+        return LevelData.from_pq(rs, *args.pq)
+    return LevelData.from_level(rs, args.level)
 
 
-def _config(args) -> CommandConfig:
-    cfg = CommandConfig(command=args.command)
-    for field in ("type", "fmt", "tol", "seed", "verify", "lattice", "trunc",
-                  "index"):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    if getattr(args, "pq", None):
-        parts = args.pq.split(",")
-        if len(parts) != 2:
-            raise KacfusionError("--pq expects two comma separated integers")
-        cfg.p, cfg.q = int(parts[0]), int(parts[1])
-    if getattr(args, "level", None):
-        cfg.level = Fraction(args.level)
-    if hasattr(args, "tau"):
-        cfg.tau = _parse_complex(args.tau)
-    if getattr(args, "x", None):
-        cfg.x = _parse_xlist(args.x)
-    if getattr(args, "t", None):
-        cfg.t = _parse_complex(args.t)
-    return cfg
+def _head(ld: LevelData) -> dict:
+    """The type and level that open every level command's payload."""
+    return {"type": str(ld.rs.spec), "p": ld.p, "q": ld.q}
 
 
-def _level_data(cfg: CommandConfig) -> LevelData:
-    rs = build_root_system(cfg.type)
-    if cfg.p is not None:
-        return LevelData.from_pq(rs, cfg.p, cfg.q)
-    return LevelData.from_level(rs, cfg.level)
-
-
-def _emit(payload: dict, cfg: CommandConfig, csv_rows=None, pretty=None) -> None:
-    if cfg.fmt == "json":
+def _emit(payload: dict, args, csv_rows=None, pretty=None) -> None:
+    if args.fmt == "json":
         print(json.dumps(payload, sort_keys=True))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         writer = csv.writer(sys.stdout)
         for row in csv_rows or _flat_rows(payload):
             writer.writerow(row)
     else:
         for line in pretty or _pretty_lines(payload):
             print(line)
+
+
+def _gate(payload: dict, args, worst: float, what: str) -> int:
+    """Record pass, emit the payload, and exit 2 when worst exceeds --tol."""
+    payload["pass"] = bool(worst <= args.tol)
+    _emit(payload, args)
+    if payload["pass"]:
+        return 0
+    print(f"{what} residual {worst:.3e} exceeds tolerance {args.tol:.3e}",
+          file=sys.stderr)
+    return 2
 
 
 def _flat_rows(payload, prefix=""):
@@ -239,8 +167,8 @@ def _pretty_lines(payload, indent=0):
     return lines
 
 
-def _cmd_rootsys(cfg: CommandConfig) -> int:
-    rs = build_root_system(cfg.type)
+def _cmd_rootsys(args) -> int:
+    rs = build_root_system(args.type)
     twisted = None
     if rs.rvee > 1:
         twisted = langlands_dual_datum(rs).twisted_type
@@ -260,7 +188,7 @@ def _cmd_rootsys(cfg: CommandConfig) -> int:
         "dual_node_orbit": list(rs.LJ),
         "twisted_partner": twisted,
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
@@ -274,14 +202,12 @@ def _label_payload(ld: LevelData, lab) -> dict:
     }
 
 
-def _cmd_enumerate(cfg: CommandConfig) -> int:
-    ld = _level_data(cfg)
+def _cmd_enumerate(args) -> int:
+    ld = _level_data(args)
     labels = enumerate_admissible(ld)
     ok = all(verify_admissible(ld, lab.lam)[0] for lab in labels)
     payload = {
-        "type": str(ld.rs.spec),
-        "p": ld.p,
-        "q": ld.q,
+        **_head(ld),
         "variant": ld.variant,
         "level": _rat(ld.k),
         "count": len(labels),
@@ -293,7 +219,7 @@ def _cmd_enumerate(cfg: CommandConfig) -> int:
          d["ybar_sign"], d["degenerate"]]
         for d in payload["labels"]
     ]
-    _emit(payload, cfg, csv_rows=rows)
+    _emit(payload, args, csv_rows=rows)
     return 0 if ok else 2
 
 
@@ -301,15 +227,13 @@ def _relation_payload(report: dict) -> dict:
     return {k: v for k, v in sorted(report.items()) if isinstance(v, (int, float, bool))}
 
 
-def _cmd_smatrix(cfg: CommandConfig) -> int:
-    ld = _level_data(cfg)
+def _cmd_smatrix(args) -> int:
+    ld = _level_data(args)
     sm = build_smatrix(ld)
     report = _sl2_report(sm)
     n = len(sm.labels)
     payload = {
-        "type": str(ld.rs.spec),
-        "p": ld.p,
-        "q": ld.q,
+        **_head(ld),
         "size": n,
         "norm_index": sm.norm_const,
         "relations": _relation_payload(report),
@@ -326,37 +250,35 @@ def _cmd_smatrix(cfg: CommandConfig) -> int:
             pretty.append("  " + "  ".join(
                 f"{sm.matrix[i, j].real:+.6f}{sm.matrix[i, j].imag:+.6f}i"
                 for j in range(n)))
-    _emit(payload, cfg, csv_rows=rows, pretty=pretty)
-    if cfg.verify and report["max_error"] > cfg.tol:
+    _emit(payload, args, csv_rows=rows, pretty=pretty)
+    if args.verify and report["max_error"] > args.tol:
         print(f"modular relation residual {report['max_error']:.3e} exceeds "
-              f"tolerance {cfg.tol:.3e}", file=sys.stderr)
+              f"tolerance {args.tol:.3e}", file=sys.stderr)
         return 2
     return 0
 
 
-def _cmd_tmatrix(cfg: CommandConfig) -> int:
-    ld = _level_data(cfg)
+def _cmd_tmatrix(args) -> int:
+    ld = _level_data(args)
     exps = tmatrix_exponents(ld)
     payload = {
-        "type": str(ld.rs.spec),
-        "p": ld.p,
-        "q": ld.q,
+        **_head(ld),
         "exponents": _rats(exps),
         "values": [_cx(np.exp(2j * np.pi * float(e))) for e in exps],
     }
     rows = [["exponent", "re", "im"]] + [
         [payload["exponents"][i]] + payload["values"][i] for i in range(len(exps))
     ]
-    _emit(payload, cfg, csv_rows=rows)
+    _emit(payload, args, csv_rows=rows)
     return 0
 
 
-def _cmd_verify(cfg: CommandConfig) -> int:
-    ld = _level_data(cfg)
+def _cmd_verify(args) -> int:
+    ld = _level_data(args)
     sm = build_smatrix(ld)
     report = _sl2_report(sm)
     labels = sm.labels
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     n = len(labels)
     spots = min(8, n * n)
     pairs = {(int(rng.integers(n)), int(rng.integers(n))) for _ in range(spots)}
@@ -366,45 +288,35 @@ def _cmd_verify(cfg: CommandConfig) -> int:
         for i, j in sorted(pairs)
     ))
     payload = {
-        "type": str(ld.rs.spec),
-        "p": ld.p,
-        "q": ld.q,
-        "seed": cfg.seed,
+        **_head(ld),
+        "seed": args.seed,
         "relations": _relation_payload(report),
         "spot_check_max_diff": spot_diff,
-        "tolerance": cfg.tol,
+        "tolerance": args.tol,
     }
-    worst = max(report["max_error"], spot_diff)
-    payload["pass"] = bool(worst <= cfg.tol)
-    _emit(payload, cfg)
-    if not payload["pass"]:
-        print(f"verification residual {worst:.3e} exceeds tolerance "
-              f"{cfg.tol:.3e}", file=sys.stderr)
-        return 2
-    return 0
+    return _gate(payload, args, max(report["max_error"], spot_diff),
+                 "verification")
 
 
-def _cmd_chars_eval(cfg: CommandConfig) -> int:
-    ld = _level_data(cfg)
+def _cmd_chars_eval(args) -> int:
+    ld = _level_data(args)
     labels = enumerate_admissible(ld)
     rank = ld.rs.rank
-    x = cfg.x if cfg.x is not None else tuple([0.1 + 0.05 * i for i in range(rank)])
+    x = args.x if args.x is not None else tuple([0.1 + 0.05 * i for i in range(rank)])
     if len(x) != rank:
-        raise KacfusionError(f"--x needs {rank} coordinates for {cfg.type}")
-    point = EvalPoint(cfg.tau, tuple(x), cfg.t)
+        raise KacfusionError(f"--x needs {rank} coordinates for {args.type}")
+    point = EvalPoint(args.tau, tuple(x), args.t)
     values = []
     for lab in labels:
-        ev = char_chi(ld, lab, point, tol=cfg.tol)
+        ev = char_chi(ld, lab, point, tol=args.tol)
         values.append({
             "value": _cx(ev.value),
             "tail_bound": ev.tail_bound,
             "N": ev.truncation_order,
         })
     payload = {
-        "type": str(ld.rs.spec),
-        "p": ld.p,
-        "q": ld.q,
-        "tau": _cx(cfg.tau),
+        **_head(ld),
+        "tau": _cx(args.tau),
         "x": [_cx(v) for v in x],
         "labels": [_rats(lab.lam.finite) for lab in labels],
         "values": values,
@@ -414,58 +326,47 @@ def _cmd_chars_eval(cfg: CommandConfig) -> int:
         + [values[i]["tail_bound"], values[i]["N"]]
         for i in range(len(labels))
     ]
-    _emit(payload, cfg, csv_rows=rows)
+    _emit(payload, args, csv_rows=rows)
     return 0
 
 
-def _cmd_theta_check(cfg: CommandConfig) -> int:
-    rs = build_root_system(cfg.type)
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.x is not None:
-        z = cfg.x if len(cfg.x) > 1 else cfg.x[0]
-        zs = cfg.x[0]
+def _cmd_theta_check(args) -> int:
+    rs = build_root_system(args.type)
+    rng = np.random.default_rng(args.seed)
+    if args.x is not None:
+        zvec = args.x if len(args.x) > 1 else (args.x[0],) * rs.rank
     else:
         draw = rng.uniform(0.05, 0.4, size=2 * rs.rank)
-        z = tuple(complex(draw[2 * i], draw[2 * i + 1] / 4) for i in range(rs.rank))
-        zs = z[0]
-    scalar = theta_jacobi_check(cfg.tau, zs)
+        zvec = tuple(complex(draw[2 * i], draw[2 * i + 1] / 4) for i in range(rs.rank))
+    scalar = theta_jacobi_check(args.tau, zvec[0])
     # the theta label must pair integrally with the lattice
-    if cfg.lattice == "Q":
+    if args.lattice == "Q":
         lattice, mu = rs.latt_Q, rs.theta
     else:
         lattice, mu = rs.latt_Qvee, rs.rho
-    zvec = z if isinstance(z, tuple) else (z,) * rs.rank
     lat = theta_lattice_check(
-        rs, lattice, mu, cfg.index, cfg.tau, zvec,
-        tol=min(cfg.tol * 1e-2, 1e-10), max_points=cfg.trunc,
+        rs, lattice, mu, args.index, args.tau, zvec,
+        tol=min(args.tol * 1e-2, 1e-10), max_points=args.trunc,
     )
     payload = {
         "type": str(rs.spec),
-        "seed": cfg.seed,
-        "tau": _cx(cfg.tau),
+        "seed": args.seed,
+        "tau": _cx(args.tau),
         "scalar_residual": scalar["abs_error"],
         "lattice_residual": lat["abs_error"],
-        "lattice": cfg.lattice,
-        "index": cfg.index,
-        "tolerance": cfg.tol,
+        "lattice": args.lattice,
+        "index": args.index,
+        "tolerance": args.tol,
     }
-    worst = max(scalar["abs_error"], lat["abs_error"])
-    payload["pass"] = bool(worst <= cfg.tol)
-    _emit(payload, cfg)
-    if not payload["pass"]:
-        print(f"theta transform residual {worst:.3e} exceeds tolerance "
-              f"{cfg.tol:.3e}", file=sys.stderr)
-        return 2
-    return 0
+    return _gate(payload, args, max(scalar["abs_error"], lat["abs_error"]),
+                 "theta transform")
 
 
-def _cmd_wlabels(cfg: CommandConfig) -> int:
-    ld = _level_data(cfg)
+def _cmd_wlabels(args) -> int:
+    ld = _level_data(args)
     labels = enumerate_wlabels(ld)
     payload = {
-        "type": str(ld.rs.spec),
-        "p": ld.p,
-        "q": ld.q,
+        **_head(ld),
         "central_charge": _rat(central_charge_w(ld)),
         "count": len(labels),
         "labels": [
@@ -476,12 +377,12 @@ def _cmd_wlabels(cfg: CommandConfig) -> int:
     rows = [["lam", "lamprime"]] + [
         [json.dumps(d["lam"]), json.dumps(d["lamprime"])] for d in payload["labels"]
     ]
-    _emit(payload, cfg, csv_rows=rows)
+    _emit(payload, args, csv_rows=rows)
     return 0
 
 
-def _cmd_fusion(cfg: CommandConfig) -> int:
-    ld = _level_data(cfg)
+def _cmd_fusion(args) -> int:
+    ld = _level_data(args)
     sm = w_smatrix(ld)
     ft = verlinde(sm)
     n = len(sm.labels)
@@ -492,9 +393,7 @@ def _cmd_fusion(cfg: CommandConfig) -> int:
         if ft.N[a, b, c]
     ]
     payload = {
-        "type": str(ld.rs.spec),
-        "p": ld.p,
-        "q": ld.q,
+        **_head(ld),
         "count": n,
         "vacuum": vac,
         "central_charge": _rat(central_charge_w(ld)),
@@ -514,54 +413,102 @@ def _cmd_fusion(cfg: CommandConfig) -> int:
                 for c in range(n) if ft.N[a, b, c]
             ]
             pretty.append(f"  [{a}] x [{b}] = " + (" + ".join(terms) or "0"))
-    _emit(payload, cfg, csv_rows=rows, pretty=pretty)
+    _emit(payload, args, csv_rows=rows, pretty=pretty)
     return 0
 
 
-def _cmd_factorize(cfg: CommandConfig) -> int:
-    ld = _level_data(cfg)
+def _cmd_factorize(args) -> int:
+    ld = _level_data(args)
     report = check_fkw_factorization(ld)
-    payload = {
-        "type": report["type"],
-        "p": ld.p,
-        "q": ld.q,
-        "hypothesis_ok": report["hypothesis_ok"],
-    }
+    payload = {**_head(ld), "hypothesis_ok": report["hypothesis_ok"]}
     if not report["hypothesis_ok"]:
         payload["reason"] = report["reason"]
-        _emit(payload, cfg)
+        _emit(payload, args)
         print(f"hypothesis violated: {report['reason']}", file=sys.stderr)
         return 2
     payload["equal"] = report["equal"]
     payload["max_abs_diff"] = report["max_abs_diff"]
     payload["count"] = len(report["lhs"].labels)
-    _emit(payload, cfg)
+    _emit(payload, args)
     if not report["equal"]:
         print("factorization mismatch: fusion tensors differ", file=sys.stderr)
         return 2
     return 0
 
 
-_DISPATCH = {
-    "rootsys": _cmd_rootsys,
-    "enumerate": _cmd_enumerate,
-    "smatrix": _cmd_smatrix,
-    "tmatrix": _cmd_tmatrix,
-    "verify": _cmd_verify,
-    "chars-eval": _cmd_chars_eval,
-    "theta-check": _cmd_theta_check,
-    "wlabels": _cmd_wlabels,
-    "fusion": _cmd_fusion,
-    "factorize": _cmd_factorize,
-}
+@lru_cache(maxsize=1)
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse is a fresh namespace."""
+    top = _Parser(prog="kacfusion", description=__doc__)
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def add(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    def common(p, level=True, point=False):
+        p.add_argument("--type", required=True, help="root system, e.g. A1, G2, E8")
+        if level:
+            g = p.add_mutually_exclusive_group(required=True)
+            g.add_argument("--pq", type=_parse_pq,
+                           help="level numerator,denominator e.g. 5,2")
+            g.add_argument("--level", type=_parse_level,
+                           help="level k as a rational, e.g. -4/3")
+        p.add_argument("--format", choices=("json", "csv", "pretty"),
+                       default="pretty", dest="fmt")
+        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--seed", type=int, default=0)
+        if point:
+            p.add_argument("--tau", type=_parse_complex, default="i",
+                           help="upper half plane point")
+            p.add_argument("--x", type=_parse_xlist, default=None,
+                           help="comma separated coordinates")
+            # a blank --t means not given
+            p.add_argument("--t", type=lambda s: _parse_complex(s or "0"),
+                           default="0", help="central coordinate")
+
+    p = add("rootsys", _cmd_rootsys, "structural data of a root system")
+    p.add_argument("--type", required=True)
+    p.add_argument("--format", choices=("json", "csv", "pretty"),
+                   default="pretty", dest="fmt")
+
+    common(add("enumerate", _cmd_enumerate, "admissible weights at level p/q"))
+
+    p = add("smatrix", _cmd_smatrix, "modular S-matrix over admissible weights")
+    common(p)
+    p.add_argument("--verify", action="store_true",
+                   help="exit 2 if the modular group relations exceed --tol")
+
+    common(add("tmatrix", _cmd_tmatrix, "T-matrix exponents"))
+    common(add("verify", _cmd_verify, "modular group relation residuals"))
+    common(add("chars-eval", _cmd_chars_eval, "evaluate all characters at a point"),
+           point=True)
+
+    p = add("theta-check", _cmd_theta_check, "theta transformation residuals")
+    p.add_argument("--type", default="A1")
+    p.add_argument("--format", choices=("json", "csv", "pretty"),
+                   default="pretty", dest="fmt")
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tau", type=_parse_complex, default="i")
+    p.add_argument("--x", type=_parse_xlist, default=None)
+    p.add_argument("--lattice", choices=("Q", "Qvee"), default="Qvee")
+    p.add_argument("--index", type=int, default=4, help="theta index m")
+    p.add_argument("--trunc", type=int, default=2_000_000,
+                   help="lattice point budget")
+
+    common(add("wlabels", _cmd_wlabels, "W-algebra module labels"))
+    common(add("fusion", _cmd_fusion, "W-algebra fusion rules via Verlinde"))
+    common(add("factorize", _cmd_factorize,
+               "compare W fusion with the product of integrable fusions"))
+    return top
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config(args)
-        return _DISPATCH[cfg.command](cfg)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (KacfusionError, ValueError, OverflowError) as exc:

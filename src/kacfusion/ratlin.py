@@ -39,10 +39,6 @@ def vec_neg(a: Sequence) -> Vector:
     return tuple(-x for x in a)
 
 
-def is_zero_vec(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
-
-
 def is_integral_vec(a: Sequence) -> bool:
     return all(frac(x).denominator == 1 for x in a)
 
@@ -153,18 +149,6 @@ def col_hermite(c: Matrix) -> Matrix:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def hermite_reduce(h: Matrix, x: Sequence[int]) -> Tuple[int, ...]:
-    """Canonical representative of x modulo the columns of a Hermite form h."""
-    y = [int(v) for v in x]
-    n = len(y)
-    for i in range(n):
-        k = y[i] // h[i][i]
-        if k:
-            for r in range(n):
-                y[r] -= k * h[r][i]
-    return tuple(y)
-
-
 def lattice_contains(gens: Matrix, v: Sequence) -> bool:
     """Whether v lies in the lattice spanned by the columns of gens."""
     return is_integral_vec(mat_solve(gens, v))
@@ -200,13 +184,3 @@ def lattice_coset_reps(amb: Matrix, sub: Matrix):
         # box tuples are already reduced representatives
         reps.append(mat_vec(amb, box))
     return reps
-
-
-def lattice_reduce(amb: Matrix, sub: Matrix, v: Sequence) -> Vector:
-    """Canonical representative of v modulo sub, for v in the amb lattice."""
-    x = mat_solve(amb, v)
-    if not is_integral_vec(x):
-        raise ValueError("vector lies outside the ambient lattice")
-    h = col_hermite(_coeff_matrix(amb, sub))
-    r = hermite_reduce(h, [int(c) for c in x])
-    return mat_vec(amb, r)

@@ -178,7 +178,6 @@ class FiniteRootSystem:
     cartan_inv: Matrix
     d: Tuple[Fraction, ...]
     gram: Matrix
-    gram_inv: Matrix
     simple_roots: Tuple[FiniteWeight, ...]
     simple_coroots: Tuple[FiniteWeight, ...]
     positive_roots: Tuple[FiniteWeight, ...]
@@ -388,7 +387,6 @@ def _build_from_cartan(spec: RootSystemSpec, cartan: Matrix, d) -> FiniteRootSys
     gram = tuple(
         tuple(d[j] * cartan_inv[j][i] for j in range(rank)) for i in range(rank)
     )
-    gram_inv = mat_inv(gram)
     root_coords, root_weights = _positive_roots_by_closure(cartan_int, rank)
     pos_roots = tuple(tuple(Fraction(x) for x in wc) for wc in root_weights)
     norms = [_root_norm2(rc, wc, d) for rc, wc in zip(root_coords, root_weights)]
@@ -452,7 +450,6 @@ def _build_from_cartan(spec: RootSystemSpec, cartan: Matrix, d) -> FiniteRootSys
         cartan_inv=cartan_inv,
         d=d,
         gram=gram,
-        gram_inv=gram_inv,
         simple_roots=simple_roots,
         simple_coroots=simple_coroots,
         positive_roots=pos_roots,

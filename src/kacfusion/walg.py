@@ -20,8 +20,8 @@ import numpy as np
 from .admissible import (
     AdmissibleLabel,
     LevelData,
+    _dominant_weights,
     enumerate_admissible,
-    label_from_mu,
     label_is_degenerate,
 )
 from .errors import FusionError, LevelError
@@ -73,25 +73,6 @@ def central_charge_w(ld: LevelData) -> Fraction:
     )
 
 
-def _dominant_weights(rs: FiniteRootSystem, level: int) -> List[FiniteWeight]:
-    """Dominant integral finite weights of affine level >= their theta pairing."""
-    comarks = rs.comarks
-    out: List[FiniteWeight] = []
-
-    def rec(prefix, used):
-        i = len(prefix)
-        if i == rs.rank:
-            out.append(tuple(frac(c) for c in prefix))
-            return
-        top = (level - used) // comarks[i]
-        for c in range(top + 1):
-            rec(prefix + [c], used + c * comarks[i])
-
-    rec([], 0)
-    out.sort()
-    return out
-
-
 def _diagonal_orbit(
     rs: FiniteRootSystem,
     rs_dual: FiniteRootSystem,
@@ -139,8 +120,8 @@ def enumerate_wlabels(ld: LevelData) -> List[WLabel]:
     if n1 < 0 or n2 < 0:
         return []
     rsd = dual_root_system(rs)
-    main = _dominant_weights(rs, n1)
-    dual = _dominant_weights(rsd, n2)
+    main = _dominant_weights(rs.comarks, n1)
+    dual = _dominant_weights(rsd.comarks, n2)
     seen = set()
     out: List[WLabel] = []
     for lam in main:
@@ -177,25 +158,35 @@ def vacuum_index(labels) -> int:
 
 
 def _affine_class(
-    ld: LevelData, rsd: FiniteRootSystem, wl: WLabel
+    ld: LevelData,
+    rsd: FiniteRootSystem,
+    wl: WLabel,
+    by_lam: Dict[FiniteWeight, AdmissibleLabel],
 ) -> List[AdmissibleLabel]:
     """Admissible labels whose trace functions equal that of wl.
 
     The pair maps to lam + rho - (p/q)(lamprime + rho_dual); acting with
-    the full finite Weyl group and reducing yields |W| distinct
-    nondegenerate admissible labels, all with the same psi function.
+    the full finite Weyl group yields |W| distinct nondegenerate admissible
+    labels, all with the same psi function. by_lam maps the finite part of
+    each admissible label of the level to that label.
     """
     rs = ld.rs
     mu = vec_add(wl.lam.finite, rs.rho)
     mup = vec_add(wl.lamprime.finite, rsd.rho)
     base = vec_sub(mu, vec_scale(ld.m, mup))
-    out = {label_from_mu(ld, w.act(base)) for w in enumerate_weyl(rs)}
+    out = set()
+    for w in enumerate_weyl(rs):
+        lam = vec_sub(w.act(base), rs.rho)
+        if lam not in by_lam:
+            weight = ", ".join(str(x) for x in lam)
+            raise AssertionError(f"class weight ({weight}) is not admissible")
+        out.add(by_lam[lam])
     if len(out) != len(enumerate_weyl(rs)):
         raise AssertionError("pair-to-admissible map collapsed an orbit")
     return sorted(out, key=lambda lab: lab.lam.finite)
 
 
-def w_smatrix(ld: LevelData, check_reps: bool = True) -> SMatrix:
+def w_smatrix(ld: LevelData) -> SMatrix:
     """S-matrix of the regular W-algebra over the canonical labels.
 
     Each label's trace function equals the psi function of a class of
@@ -203,15 +194,16 @@ def w_smatrix(ld: LevelData, check_reps: bool = True) -> SMatrix:
     times the sum of affine S-matrix entries over the column class, with
     any class member as the row. The double-Weyl-sum closed form is
     recovered on suitable orbit representatives, but its value genuinely
-    depends on that choice; summing the affine matrix does not, which
-    check_reps asserts by recomputing every row from a second member.
+    depends on that choice; summing the affine matrix does not, which is
+    asserted by recomputing every row from a second member.
     """
     labels = tuple(enumerate_wlabels(ld))
     rs = ld.rs
     rsd = dual_root_system(rs)
     sm = build_smatrix(ld)
     index = {lab: i for i, lab in enumerate(sm.labels)}
-    classes = [_affine_class(ld, rsd, wl) for wl in labels]
+    by_lam = {lab.lam.finite: lab for lab in enumerate_admissible(ld)}
+    classes = [_affine_class(ld, rsd, wl, by_lam) for wl in labels]
     flat = [lab for cl in classes for lab in cl]
     if len(flat) != len(set(flat)):
         raise AssertionError("trace-function classes overlap")
@@ -225,16 +217,15 @@ def w_smatrix(ld: LevelData, check_reps: bool = True) -> SMatrix:
         row = sm.matrix[index[classes[i][0]]]
         for j in range(n):
             out[i, j] = pref * row[cols[j]].sum()
-    if check_reps:
-        for i in range(n):
-            if len(classes[i]) < 2:
-                continue
-            row = sm.matrix[index[classes[i][1]]]
-            for j in range(n):
-                if abs(pref * row[cols[j]].sum() - out[i, j]) > 1e-9:
-                    raise AssertionError(
-                        "S-matrix entry depends on the class representative"
-                    )
+    for i in range(n):
+        if len(classes[i]) < 2:
+            continue
+        row = sm.matrix[index[classes[i][1]]]
+        for j in range(n):
+            if abs(pref * row[cols[j]].sum() - out[i, j]) > 1e-9:
+                raise AssertionError(
+                    "S-matrix entry depends on the class representative"
+                )
     return SMatrix(level_data=ld, labels=labels, matrix=out, norm_const=sm.norm_const)
 
 

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -180,6 +183,38 @@ def test_bad_inputs_exit_one(capsys):
                "--x", "0.1")[0] == 1  # wrong coordinate count
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "--type", "A1", "--pq", ""], "--pq expects two comma"),
+    (["enumerate", "--type", "A1", "--pq", "5"], "--pq expects two comma"),
+    (["enumerate", "--type", "A1", "--pq", "5,2,1"], "--pq expects two comma"),
+    (["enumerate", "--type", "A1", "--pq", "a,b"], "--pq expects two comma"),
+    (["enumerate", "--type", "A1", "--level="], "argument --level"),
+    (["enumerate", "--type", "A1", "--level=1/0"], "argument --level"),
+    (["chars-eval", "--type", "A1", "--pq", "5,2", "--tau", "abc"],
+     "argument --tau"),
+    (["theta-check", "--x", " "], "argument --x"),
+], ids=["pq-blank", "pq-one-part", "pq-three-parts", "pq-not-integers",
+        "level-blank", "level-zero-denominator", "tau-malformed", "x-blank"])
+def test_malformed_flags_exit_one_with_usage(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: kacfusion ")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chars-eval", "--type", "A1", "--pq", "5,2", "--x", ""],
+    ["chars-eval", "--type", "A1", "--pq", "5,2", "--t", ""],
+    ["theta-check", "--seed", "4", "--x", ""],
+])
+def test_blank_point_flags_mean_not_given(capsys, argv):
+    given = run(capsys, *argv, "--format", "json")
+    omitted = run(capsys, *argv[:-2], "--format", "json")
+    assert given[0] == 0
+    assert given == omitted
+
+
 def test_wlabels_coprincipal_exits_one(capsys):
     code, _, err = run(capsys, "wlabels", "--type", "B2", "--pq", "5,2")
     assert code == 1
@@ -203,3 +238,33 @@ def test_json_keys_sorted(capsys):
     _, out, _ = run(capsys, "rootsys", "--type", "A2", "--format", "json")
     doc = json.loads(out)
     assert list(doc) == sorted(doc)
+
+
+def test_parser_reuse_keeps_calls_independent(capsys):
+    # the parser is built once per process; every call still parses into a
+    # fresh namespace, so a call's output does not depend on the calls before
+    calls = [
+        ["theta-check", "--seed", "9"],
+        ["enumerate", "--type", "A1", "--level=-8/5"],
+        ["chars-eval", "--type", "A1", "--pq", "5,2", "--x", "0.13"],
+        ["theta-check", "--seed", "9"],
+    ]
+    assert cli_module.build_parser() is cli_module.build_parser()
+    in_sequence = [run(capsys, *argv, "--format", "json") for argv in calls]
+    alone = []
+    for argv in calls:
+        cli_module.build_parser.cache_clear()
+        alone.append(run(capsys, *argv, "--format", "json"))
+    assert in_sequence == alone
+    assert in_sequence[0] == in_sequence[3]
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["rootsys", "--type", "G2", "--format", "json"]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "kacfusion.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)

@@ -1,6 +1,7 @@
 """W-algebra labels, S-matrix, Verlinde fusion, and tensor factorization."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,12 +18,17 @@ from kacfusion import (
     check_fkw_factorization,
     enumerate_admissible,
     enumerate_wlabels,
+    label_from_mu,
     label_is_degenerate,
     vacuum_index,
     verlinde,
     w_smatrix,
     weyl_order,
 )
+from kacfusion.ratlin import vec_add, vec_scale, vec_sub
+from kacfusion.rootsys import dual_root_system
+from kacfusion.walg import _affine_class
+from kacfusion.weyl import enumerate_weyl
 
 
 def level_data(name, p, q):
@@ -144,6 +150,28 @@ def test_w_smatrix_unitary_symmetric(name, p, q):
     assert np.abs(S - S.T).max() < 1e-12
     assert np.abs(S @ S.conj().T - np.eye(n)).max() < 1e-12
     assert np.abs((S @ S) @ (S @ S) - np.eye(n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("name,p,q", [("A1", 3, 4), ("A2", 3, 4), ("A3", 5, 4)])
+def test_affine_classes_are_label_from_mu_images(name, p, q):
+    # the class lookup returns exactly the labels label_from_mu derives from
+    # the Weyl images of lam + rho - (p/q)(lamprime + rho_dual)
+    ld = level_data(name, p, q)
+    rs, rsd = ld.rs, dual_root_system(ld.rs)
+    by_lam = {lab.lam.finite: lab for lab in enumerate_admissible(ld)}
+    labels = enumerate_wlabels(ld)
+    assert labels
+    for wl in labels:
+        base = vec_sub(vec_add(wl.lam.finite, rs.rho),
+                       vec_scale(ld.m, vec_add(wl.lamprime.finite, rsd.rho)))
+        images = {label_from_mu(ld, w.act(base)) for w in enumerate_weyl(rs)}
+        expected = sorted(images, key=lambda lab: lab.lam.finite)
+        assert _affine_class(ld, rsd, wl, by_lam) == expected
+    missing = dict(by_lam)
+    del missing[expected[0].lam.finite]
+    weight = ", ".join(str(x) for x in expected[0].lam.finite)
+    with pytest.raises(AssertionError, match=re.escape(f"({weight})")):
+        _affine_class(ld, rsd, labels[-1], missing)
 
 
 # --------------------------------------------------------------------- fusion
