@@ -19,10 +19,9 @@ from typing import Tuple
 from .errors import ChamberError, LatticeError, LevelError
 from .ratlin import (
     frac,
+    int_vector,
     is_integral_vec,
-    lattice_contains,
     lattice_coset_reps,
-    mat_scale,
     vec,
     vec_add,
     vec_scale,
@@ -184,7 +183,7 @@ def ga_from_beta(ld: LevelData, beta):
     """
     rs = ld.rs
     beta = vec(beta)
-    if not lattice_contains(rs.latt_Qstar, beta):
+    if not rs.in_lattice(rs.latt_Qstar, beta):
         raise LatticeError("beta must lie in the coweight lattice Qstar")
     u, _, _ = _affine_reduce(
         rs, ld.q, ld.variant, Fraction(1), vec_scale(Fraction(-1), beta), rs.rho
@@ -192,7 +191,7 @@ def ga_from_beta(ld: LevelData, beta):
     winv = u.wbar.inverse()
     ybar = winv
     gamma = vec_scale(Fraction(-1, ld.q), winv.act(u.beta))
-    if not lattice_contains(ld.translation_lattice, gamma):
+    if not rs.in_lattice(ld.translation_lattice, gamma):
         raise AssertionError("chamber resolution left the translation lattice")
     return ybar, gamma
 
@@ -234,7 +233,11 @@ def enumerate_admissible(ld: LevelData):
     lexicographically least triple.
     """
     rs = ld.rs
-    qL = mat_scale(ld.q, ld.translation_lattice)
+    # Qstar has the generators Lambda_i / d_i, so q L has the coefficients q d_i L_ij
+    qL = tuple(
+        tuple(ld.q * di * x for x in row)
+        for di, row in zip(rs.d, ld.translation_lattice)
+    )
     reps = lattice_coset_reps(rs.latt_Qstar, qL)
     nodes = rs.J if ld.variant == "principal" else rs.LJ
     chamber = _chamber_nu(ld)
@@ -278,15 +281,17 @@ def decompose_mu(ld: LevelData, mu):
     nu0 = vec_scale(Fraction(v_bez), w)
     beta0 = vec_scale(Fraction(u_bez), w)
     # The Bezout split leaves beta0 in the weight lattice; shift the pair by
-    # (q pi, -p pi) with pi in P to move beta0 into Qstar.
-    for pi in lattice_coset_reps(rs.latt_P, rs.latt_Qstar):
-        cand = vec_add(beta0, vec_scale(Fraction(ld.q), pi))
-        if is_integral_vec(cand) and lattice_contains(rs.latt_Qstar, cand):
-            beta0 = cand
-            nu0 = vec_sub(nu0, vec_scale(Fraction(ld.p), pi))
-            break
-    else:
-        raise LatticeError("weight does not split over the coweight lattice")
+    # (q pi, -p pi) with pi in P to move beta0 into Qstar, whose i-th
+    # coordinates are the multiples of 1/d_i: one condition per coordinate.
+    pi = []
+    for b, di in zip(beta0, rs.d):
+        step = int(1 / di)
+        shift = next((j for j in range(step) if (b + ld.q * j) % step == 0), None)
+        if shift is None:
+            raise LatticeError("weight does not split over the coweight lattice")
+        pi.append(shift)
+    beta0 = vec_add(beta0, vec_scale(ld.q, pi))
+    nu0 = vec_sub(nu0, vec_scale(ld.p, pi))
     red, fin, _ = _affine_reduce(rs, 1, ld.variant, Fraction(ld.p), nu0, None)
     coeffs = ld.node0_coeffs
     node0 = ld.p - sum(coeffs[i] * fin[i] for i in range(rs.rank))
@@ -329,7 +334,7 @@ def label_from_mu(ld: LevelData, mu) -> AdmissibleLabel:
     node0 = ld.p - sum(coeffs[i] * nu.finite[i] for i in range(rs.rank))
     if node0 < 1 or any(x < 1 for x in nu.finite):
         raise ChamberError("chamber weight nu is not regular dominant")
-    if not lattice_contains(rs.latt_Qstar, beta):
+    if not rs.in_lattice(rs.latt_Qstar, beta):
         raise LatticeError("translation part beta lies outside Qstar")
     lam = AffineWeight(vec_sub(vec(mu), rs.rho), ld.k, Fraction(0))
     return AdmissibleLabel(nu, ybar, beta, lam)
@@ -340,51 +345,41 @@ def verify_admissible(ld: LevelData, lam):
 
     lam is an AffineWeight of level k or its finite coordinates. For every
     positive real coroot gamma the value <lam + rho, gamma> must avoid the
-    nonpositive integers; the scan per finite root direction is finite since
-    the values grow by p/q steps. Returns (ok, integral_coroots) where the
-    second entry holds one coroot per direction and residue class with an
-    integral pairing (delta coefficients within the first period).
+    nonpositive integers. Per finite root direction and sign these values
+    are v + m p/q over m in a progression of step s = 2 / (alpha, alpha);
+    they grow and are integral with period q s in m, so the weight is
+    admissible exactly when the first integral value of each progression,
+    which lies in its first period, is positive. Returns (ok,
+    integral_coroots) where the second entry holds one coroot per direction
+    and residue class with an integral pairing (delta coefficients within
+    the first period).
     """
     rs = ld.rs
     fin = lam.finite if isinstance(lam, AffineWeight) else vec(lam)
     if isinstance(lam, AffineWeight) and lam.k0 != ld.k:
         raise LevelError(f"weight has level {lam.k0}, expected {ld.k}")
-    mu = vec_add(fin, rs.rho)
-    step_level = ld.m
+    # lam + rho = u / den, and <lam + rho, alpha_vee> = (row . u) / den
+    u, den = int_vector(vec_add(fin, rs.rho))
+    p, q = ld.p, ld.q
     ok = True
     hits = []
-    for idx, alpha in enumerate(rs.positive_roots):
-        av = rs.coroot_image(alpha)
-        v = rs.inner_finite(mu, av)
-        d_alpha = rs.norm2_finite(alpha) / 2
-        s = Fraction(1) / d_alpha
-        if s.denominator != 1:
-            raise AssertionError("coroot delta step is not integral")
-        s = int(s)
-        for sign in (1, -1):
-            base = v if sign == 1 else -v
-            start = 0 if sign == 1 else s
-            m = start
-            while base + m * step_level <= 0:
-                if (base + m * step_level).denominator == 1:
-                    ok = False
-                m += s
-            for m in range(start, start + ld.q * s, s):
-                val = base + m * step_level
-                if val.denominator == 1:
-                    coroot = AffineWeight(
-                        vec_scale(Fraction(sign), av), Fraction(0), Fraction(m)
-                    )
-                    hits.append((idx, sign, m, coroot))
-    hits.sort(key=lambda t: (t[0], -t[1], t[2]))
-    return ok, tuple(h[3] for h in hits)
+    for alpha, row, s in zip(rs.positive_roots, rs.coroot_coords, rs.coroot_steps):
+        v = sum(a * x for a, x in zip(row, u))
+        for sign, start in ((1, 0), (-1, s)):
+            # the value at m is (sign v q + m p den) / (q den)
+            ms = [m for m in range(start, start + q * s, s)
+                  if (sign * v * q + m * p * den) % (q * den) == 0]
+            if ms:
+                ok = ok and sign * v * q + ms[0] * p * den > 0
+                av = vec_scale(Fraction(sign), rs.coroot_image(alpha))
+                hits.extend(AffineWeight(av, Fraction(0), Fraction(m)) for m in ms)
+    return ok, tuple(hits)
 
 
 def label_is_degenerate(ld: LevelData, label: AdmissibleLabel) -> bool:
     """Whether some finite positive coroot pairs integrally with lam + rho."""
     rs = ld.rs
-    mu = vec_add(label.lam.finite, rs.rho)
-    for alpha in rs.positive_roots:
-        if rs.inner_finite(mu, rs.coroot_image(alpha)).denominator == 1:
-            return True
-    return False
+    u, den = int_vector(vec_add(label.lam.finite, rs.rho))
+    return any(
+        sum(a * x for a, x in zip(row, u)) % den == 0 for row in rs.coroot_coords
+    )

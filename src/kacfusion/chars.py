@@ -20,7 +20,7 @@ import numpy as np
 
 from .admissible import AdmissibleLabel, LevelData
 from .errors import CapacityError, InvalidTypeError, PolarPointError
-from .ratlin import lattice_coset_reps, lattice_index, mat_inv, transpose, vec
+from .ratlin import lattice_coset_reps, mat_inv, transpose, vec
 from .rootsys import FiniteRootSystem
 from .weyl import enumerate_weyl
 
@@ -268,10 +268,11 @@ def theta_lattice_check(
         complex(t) - zz / (2 * tau), tol=tol, max_points=max_points,
     )
     dual = dual_lattice(rs, lattice)
-    mL = tuple(tuple(m * x for x in row) for row in lattice)
+    # over the dual basis, m L has the coefficients m (L_i, L_j)
+    cols = transpose(lattice)
+    mL = tuple(tuple(m * rs.inner_finite(a, b) for b in cols) for a in cols)
     reps = lattice_coset_reps(dual, mL)
-    idx = lattice_index(dual, mL)
-    pref = cmath.exp((n / 2) * cmath.log(-1j * tau)) / math.sqrt(idx)
+    pref = cmath.exp((n / 2) * cmath.log(-1j * tau)) / math.sqrt(len(reps))
     acc = 0j
     tails = lhs.tail_bound
     for rep in reps:

@@ -67,6 +67,13 @@ def _parse_level(text: str) -> Fraction:
             f"--level expects a rational number, got {text!r}") from None
 
 
+def _parse_index(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"--index expects a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_complex(text: str) -> complex:
     s = text.strip().replace(" ", "").replace("i", "j")
     if s in ("j", "+j"):
@@ -334,6 +341,9 @@ def _cmd_theta_check(args) -> int:
     rs = build_root_system(args.type)
     rng = np.random.default_rng(args.seed)
     if args.x is not None:
+        if len(args.x) not in (1, rs.rank):
+            raise KacfusionError(
+                f"--x needs {rs.rank} coordinates for {args.type}, or one for all")
         zvec = args.x if len(args.x) > 1 else (args.x[0],) * rs.rank
     else:
         draw = rng.uniform(0.05, 0.4, size=2 * rs.rank)
@@ -494,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_parse_complex, default="i")
     p.add_argument("--x", type=_parse_xlist, default=None)
     p.add_argument("--lattice", choices=("Q", "Qvee"), default="Qvee")
-    p.add_argument("--index", type=int, default=4, help="theta index m")
+    p.add_argument("--index", type=_parse_index, default=4, help="theta index m")
     p.add_argument("--trunc", type=int, default=2_000_000,
                    help="lattice point budget")
 

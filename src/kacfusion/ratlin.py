@@ -4,8 +4,12 @@ Vectors are tuples of numbers (ints or Fractions), matrices are tuples of
 row tuples. Lattices are described by square generator matrices whose
 columns are the generators, written in the same coordinates as the vectors
 they are compared against. Everything here is exact; floats never enter.
+The one general inverse, mat_inv, runs when a root system is built and
+when a dual lattice is formed; lattice questions about a fixed root system
+are answered from the integer data it holds.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Sequence, Tuple
@@ -43,10 +47,6 @@ def is_integral_vec(a: Sequence) -> bool:
     return all(frac(x).denominator == 1 for x in a)
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
 def mat_from_rows(rows) -> Matrix:
     return tuple(tuple(frac(x) for x in row) for row in rows)
 
@@ -57,39 +57,6 @@ def transpose(a: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Sequence) -> Vector:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(len(ra))) for cb in bt) for ra in a
-    )
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_det(a: Matrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    n = len(a)
-    m = [[frac(x) for x in row] for row in a]
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if m[r][i] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det *= m[i][i]
-        inv = 1 / m[i][i]
-        for r in range(i + 1, n):
-            if m[r][i] != 0:
-                f = m[r][i] * inv
-                for c in range(i, n):
-                    m[r][c] -= f * m[i][c]
-    return det
 
 
 def mat_inv(a: Matrix) -> Matrix:
@@ -110,11 +77,6 @@ def mat_inv(a: Matrix) -> Matrix:
                 f = m[r][i]
                 m[r] = [x - f * y for x, y in zip(m[r], m[i])]
     return tuple(tuple(row[n:]) for row in m)
-
-
-def mat_solve(a: Matrix, b: Sequence) -> Vector:
-    """Solve a x = b exactly for square nonsingular a."""
-    return mat_vec(mat_inv(a), b)
 
 
 def col_hermite(c: Matrix) -> Matrix:
@@ -149,38 +111,23 @@ def col_hermite(c: Matrix) -> Matrix:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def lattice_contains(gens: Matrix, v: Sequence) -> bool:
-    """Whether v lies in the lattice spanned by the columns of gens."""
-    return is_integral_vec(mat_solve(gens, v))
+def int_vector(v) -> Tuple[Tuple[int, ...], int]:
+    """(u, den) with v = u / den for integers u and den the least common denominator."""
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
 
 
-def lattice_index(amb: Matrix, sub: Matrix) -> int:
-    """Index of the column lattice of sub inside that of amb."""
-    d = mat_det(mat_mul(mat_inv(amb), sub))
-    idx = abs(d)
-    if idx.denominator != 1:
-        raise ValueError("second lattice is not contained in the first")
-    return int(idx)
-
-
-def _coeff_matrix(amb: Matrix, sub: Matrix) -> Matrix:
-    c = mat_mul(mat_inv(amb), sub)
-    for row in c:
-        if not is_integral_vec(row):
-            raise ValueError("second lattice is not contained in the first")
-    return c
-
-
-def lattice_coset_reps(amb: Matrix, sub: Matrix):
+def lattice_coset_reps(amb: Matrix, coeffs: Matrix):
     """Deterministic coset representatives for amb / sub.
 
-    Representatives are returned in ambient coordinates, ordered by their
-    coefficient tuples over the fundamental box of the Hermite form.
+    The sublattice is given by its coefficient matrix over the columns of
+    amb, which must be integral. Representatives are returned in ambient
+    coordinates, ordered by their coefficient tuples over the fundamental
+    box of the Hermite form.
     """
-    h = col_hermite(_coeff_matrix(amb, sub))
-    n = len(h)
-    reps = []
-    for box in product(*[range(h[i][i]) for i in range(n)]):
-        # box tuples are already reduced representatives
-        reps.append(mat_vec(amb, box))
-    return reps
+    if not all(is_integral_vec(row) for row in coeffs):
+        raise ValueError("second lattice is not contained in the first")
+    h = col_hermite(coeffs)
+    # box tuples are already reduced representatives
+    boxes = product(*(range(h[i][i]) for i in range(len(h))))
+    return [mat_vec(amb, box) for box in boxes]

@@ -16,7 +16,8 @@ branch nodes (1,3),(3,4),(4,5),(5,6),(2,4) and onward for E, the double
 edge between nodes 2 and 3 for F4, and for G2 the first root long.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
@@ -26,10 +27,8 @@ from .ratlin import (
     Matrix,
     Vector,
     frac,
-    identity_matrix,
+    int_vector,
     is_integral_vec,
-    lattice_contains,
-    mat_det,
     mat_from_rows,
     mat_inv,
     mat_vec,
@@ -42,6 +41,7 @@ from .ratlin import (
 )
 
 FiniteWeight = Tuple[Fraction, ...]
+IntMatrix = Tuple[Tuple[int, ...], ...]
 
 _RANK_RANGE = {
     "A": range(1, 9),
@@ -171,6 +171,13 @@ class FiniteRootSystem:
     weight coordinates: latt_P (weight lattice), latt_Q (root lattice),
     latt_Qvee (image of the coroot lattice under the form) and latt_Qstar
     (dual of the root lattice, spanned by the fundamental coweight images).
+
+    The integer fields are fixed when the system is built: cartan_adj is
+    det A times cartan_inv (det A is the fundamental group order), gram is
+    gram_num / gram_den, and for the a-th positive root alpha the row
+    coroot_coords[a] gives (mu, alpha_vee) = sum_i row_i mu_i, while
+    coroot_steps[a] = 2 / (alpha, alpha) is the delta step of its affine
+    coroots.
     """
 
     spec: RootSystemSpec
@@ -199,6 +206,11 @@ class FiniteRootSystem:
     latt_Qvee: Matrix
     latt_Qstar: Matrix
     fundamental_group_order: int
+    cartan_adj: IntMatrix = field(repr=False, compare=False)
+    gram_num: IntMatrix = field(repr=False, compare=False)
+    gram_den: int = field(repr=False, compare=False)
+    coroot_coords: IntMatrix = field(repr=False, compare=False)
+    coroot_steps: Tuple[int, ...] = field(repr=False, compare=False)
 
     def __hash__(self) -> int:
         # consistent with __eq__, since equal systems have equal spec and d,
@@ -239,11 +251,13 @@ class FiniteRootSystem:
     def rho_affine(self) -> AffineWeight:
         return AffineWeight(self.rho, Fraction(self.hvee), Fraction(0))
 
-    def inner_finite(self, a, b):
+    def inner_finite(self, a, b) -> Fraction:
         """Invariant form on finite weight coordinates (exact on Fractions)."""
-        g = self.gram
-        n = self.rank
-        return sum(a[i] * sum(g[i][j] * b[j] for j in range(n)) for i in range(n))
+        ua, da = int_vector(a)
+        ub, db = int_vector(b)
+        num = sum(x * sum(g * y for g, y in zip(row, ub))
+                  for x, row in zip(ua, self.gram_num))
+        return Fraction(num, self.gram_den * da * db)
 
     def inner(self, a, b):
         """Invariant form; accepts finite tuples or AffineWeight on each side."""
@@ -283,7 +297,10 @@ class FiniteRootSystem:
 
     def root_coords(self, xi) -> Vector:
         """Coordinates of a finite weight in the simple root basis."""
-        return mat_vec(self.cartan_inv, xi)
+        u, den = int_vector(xi)
+        den *= self.fundamental_group_order
+        return tuple(Fraction(sum(a * x for a, x in zip(row, u)), den)
+                     for row in self.cartan_adj)
 
     def is_dominant(self, xi, strict: bool = False) -> bool:
         if strict:
@@ -291,7 +308,18 @@ class FiniteRootSystem:
         return all(x >= 0 for x in xi)
 
     def in_lattice(self, gens: Matrix, v) -> bool:
-        return lattice_contains(gens, v)
+        """Whether v lies in latt_P, latt_Q, latt_Qvee or latt_Qstar (gens).
+
+        The coordinates over the generators are v or the root coordinates of
+        v, times d_i for the coroot and coweight lattices.
+        """
+        if gens == self.latt_Q or gens == self.latt_Qvee:
+            v = self.root_coords(v)
+        elif not (gens == self.latt_P or gens == self.latt_Qstar):
+            raise ValueError(f"not a lattice of {self.spec}")
+        if gens == self.latt_Qvee or gens == self.latt_Qstar:
+            v = [x * di for x, di in zip(v, self.d)]
+        return is_integral_vec(v)
 
     def theta_coroot_image(self) -> FiniteWeight:
         """nu of the coroot of the highest root (a short coroot)."""
@@ -356,6 +384,13 @@ def _positive_roots_by_closure(cartan, rank: int):
 def _root_norm2(coords, weight_coords, d) -> Fraction:
     """(alpha, alpha) = sum_i c_i d_i <alpha, alpha_i_vee> for alpha = sum c_i alpha_i."""
     return sum(c * di * w for c, di, w in zip(coords, d, weight_coords))
+
+
+def _int_rows(rows) -> IntMatrix:
+    """Rows of Fractions as integers; they must be integral."""
+    if not all(is_integral_vec(row) for row in rows):
+        raise AssertionError("integer root data must be integral")
+    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 def build_root_system(spec) -> FiniteRootSystem:
@@ -428,7 +463,9 @@ def _build_from_cartan(spec: RootSystemSpec, cartan: Matrix, d) -> FiniteRootSys
     rho = tuple(Fraction(1) for _ in range(rank))
     rhovee = tuple(1 / d[i] for i in range(rank))
 
-    latt_P = identity_matrix(rank)
+    latt_P = tuple(
+        tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)
+    )
     latt_Q = cartan
     latt_Qvee = tuple(
         tuple(cartan[i][j] / d[j] for j in range(rank)) for i in range(rank)
@@ -436,14 +473,12 @@ def _build_from_cartan(spec: RootSystemSpec, cartan: Matrix, d) -> FiniteRootSys
     latt_Qstar = tuple(
         tuple(Fraction(int(i == j)) / d[j] for j in range(rank)) for i in range(rank)
     )
-    det_a = mat_det(cartan)
-    if det_a.denominator != 1 or det_a <= 0:
-        raise AssertionError("Cartan determinant must be a positive integer")
-    order = int(det_a)
 
     J = (0,) + tuple(i + 1 for i in range(rank) if marks[i] == 1)
     LJ = (0,) + tuple(i + 1 for i in range(rank) if dual_marks[i] == 1)
-
+    # |P / Q| = det A is the number of nodes of mark one, node 0 included
+    order = len(J)
+    gram_den = math.lcm(*(x.denominator for row in gram for x in row))
     return FiniteRootSystem(
         spec=spec,
         cartan=cartan,
@@ -471,6 +506,15 @@ def _build_from_cartan(spec: RootSystemSpec, cartan: Matrix, d) -> FiniteRootSys
         latt_Qvee=latt_Qvee,
         latt_Qstar=latt_Qstar,
         fundamental_group_order=order,
+        cartan_adj=_int_rows([[order * x for x in row] for row in cartan_inv]),
+        gram_num=_int_rows([[gram_den * x for x in row] for row in gram]),
+        gram_den=gram_den,
+        # alpha_vee = sum_i c_i (d_i / d_alpha) alpha_i_vee, 2 d_alpha = (alpha, alpha)
+        coroot_coords=_int_rows([
+            [2 * c * di / n2 for c, di in zip(rc, d)]
+            for rc, n2 in zip(root_coords, norms)
+        ]),
+        coroot_steps=_int_rows([[2 / n2 for n2 in norms]])[0],
     )
 
 

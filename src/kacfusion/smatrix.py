@@ -21,7 +21,6 @@ import numpy as np
 
 from .admissible import AdmissibleLabel, LevelData, enumerate_admissible
 from .errors import CapacityError
-from .ratlin import mat_scale
 from .rootsys import AffineWeight
 from .weyl import enumerate_weyl
 
@@ -51,14 +50,14 @@ def norm_index(ld: LevelData) -> int:
     """The lattice index N normalising the S matrix.
 
     Principal: index of pq Qvee in the weight lattice P. Coprincipal:
-    index of pq Q in the coweight lattice Qstar.
+    index of pq Q in the coweight lattice Qstar. As |P / Q| = det A and the
+    generators of Qvee and Qstar are those of Q and P over d_i, these are
+    (pq)^r det A / prod d_i and (pq)^r det A prod d_i.
     """
     rs = ld.rs
-    from .ratlin import lattice_index
-
-    if ld.variant == "principal":
-        return lattice_index(rs.latt_P, mat_scale(ld.p * ld.q, rs.latt_Qvee))
-    return lattice_index(rs.latt_Qstar, mat_scale(ld.p * ld.q, rs.latt_Q))
+    scale = (ld.p * ld.q) ** rs.rank * rs.fundamental_group_order
+    covolume = math.prod(rs.d)
+    return int(scale / covolume if ld.variant == "principal" else scale * covolume)
 
 
 def conformal_weight(ld: LevelData, lam) -> Fraction:
@@ -138,7 +137,7 @@ def build_smatrix(
     labels = tuple(labels)
     rs, p, q = ld.rs, ld.p, ld.q
     r, n = rs.rank, len(labels)
-    d_g = math.lcm(*(Fraction(x).denominator for row in rs.gram for x in row))
+    d_g = rs.gram_den
     d_b = math.lcm(1, *(Fraction(x).denominator for lab in labels for x in lab.beta))
     D = math.lcm(p * d_g, 4, d_b * d_g, q * d_b * d_b * d_g)
     if D > _MAX_DENOMINATOR:
@@ -148,7 +147,7 @@ def build_smatrix(
     # Every array is reduced mod D before it enters a product, and no
     # contraction is longer than r, so no intermediate exceeds (r + 2) D^2.
     assert (r + 2) * D * D < 2**63, f"phase denominator {D} overflows int64"
-    G = _scaled(rs.gram, d_g, r) % D
+    G = np.array(rs.gram_num, dtype=np.int64) % D
     nu = _scaled((lab.nu.finite for lab in labels), 1, r) % D
     beta = _scaled((lab.beta for lab in labels), d_b, r) % D
     c_nb = D // (d_g * d_b) % D

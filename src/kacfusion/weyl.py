@@ -11,15 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Tuple
 
 import numpy as np
 
 from .errors import CapacityError, ChamberError
-from .ratlin import frac, mat_inv, vec, vec_add, vec_neg, vec_scale
-from .rootsys import AffineWeight, FiniteRootSystem, FiniteWeight
-
-IntMatrix = Tuple[Tuple[int, ...], ...]
+from .ratlin import frac, vec, vec_add, vec_neg, vec_scale
+from .rootsys import AffineWeight, FiniteRootSystem, FiniteWeight, IntMatrix
 
 
 @dataclass(frozen=True)
@@ -44,9 +41,11 @@ class WeylElement:
         return WeylElement(m, self.sign * other.sign)
 
     def inverse(self) -> "WeylElement":
-        inv = mat_inv(self.matrix)
-        m = tuple(tuple(int(x) for x in row) for row in inv)
-        return WeylElement(m, self.sign)
+        """w^-1 = w^(k-1), for k the order of w in the finite Weyl group."""
+        power = self
+        while not (nxt := power.compose(self)).is_identity():
+            power = nxt
+        return power
 
     def is_identity(self) -> bool:
         n = len(self.matrix)

@@ -1,5 +1,6 @@
 """Enumeration and verification of admissible weights at fractional level."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,9 @@ from kacfusion import (
     verify_admissible,
     weyl_order,
 )
-from kacfusion.ratlin import vec_add
-from kacfusion.rootsys import affine
+from kacfusion.admissible import AdmissibleLabel
+from kacfusion.ratlin import vec_add, vec_scale
+from kacfusion.rootsys import AffineWeight, affine
 
 COUNTS = [
     ("A1", 3, 1, 2),
@@ -163,3 +165,66 @@ def test_integrable_level_reduces_to_dominant_weights():
     assert all(verify_admissible(ld, lab.lam)[0] for lab in labels)
     # at q = 1 every pairing with a finite coroot is a positive integer
     assert all(label_is_degenerate(ld, lab) for lab in labels)
+
+
+def _verify_by_scan(ld, lam):
+    """verify_admissible by scanning every progression below zero, with
+    Fraction pairings through the form: the reference for the closed form."""
+    rs = ld.rs
+    mu = vec_add(lam.finite, rs.rho)
+    ok = True
+    hits = []
+    for alpha in rs.positive_roots:
+        av = rs.coroot_image(alpha)
+        v = rs.inner_finite(mu, av)
+        s = int(2 / rs.norm2_finite(alpha))
+        for sign in (1, -1):
+            base = v if sign == 1 else -v
+            start = 0 if sign == 1 else s
+            m = start
+            while base + m * ld.m <= 0:
+                if (base + m * ld.m).denominator == 1:
+                    ok = False
+                m += s
+            for m in range(start, start + ld.q * s, s):
+                if (base + m * ld.m).denominator == 1:
+                    hits.append(AffineWeight(
+                        vec_scale(Fraction(sign), av), Fraction(0), Fraction(m)))
+    return ok, tuple(hits)
+
+
+def _degenerate_by_form(ld, label):
+    rs = ld.rs
+    mu = vec_add(label.lam.finite, rs.rho)
+    return any(rs.inner_finite(mu, rs.coroot_image(alpha)).denominator == 1
+               for alpha in rs.positive_roots)
+
+
+ORACLE_LEVELS = [(name, p, q) for name, p, q, _ in COUNTS] + [
+    ("A1", 2, 3), ("A2", 3, 5), ("B2", 3, 5), ("C2", 3, 5), ("G2", 4, 7),
+    ("A3", 5, 3), ("C2", 5, 2), ("B3", 5, 1), ("D4", 7, 1),
+]
+
+
+@pytest.mark.parametrize("name,p,q", ORACLE_LEVELS)
+def test_closed_forms_match_scan_and_form(name, p, q):
+    # every label of the level, then seeded weights of level k that are
+    # mostly not admissible
+    ld = level_data(name, p, q)
+    labels = enumerate_admissible(ld)
+    for lab in labels:
+        got = verify_admissible(ld, lab.lam)
+        assert repr(got) == repr(_verify_by_scan(ld, lab.lam))
+        assert label_is_degenerate(ld, lab) == _degenerate_by_form(ld, lab)
+    rng = random.Random(f"{name} {p},{q}")
+    rejected = 0
+    for _ in range(40):
+        den = rng.choice((1, q, 2 * q, 3 * q))
+        lam = affine([Fraction(rng.randint(-3 * den, 3 * den), den)
+                      for _ in range(ld.rs.rank)], k0=ld.k)
+        got = verify_admissible(ld, lam)
+        assert repr(got) == repr(_verify_by_scan(ld, lam))
+        rejected += not got[0]
+        label = AdmissibleLabel(labels[0].nu, labels[0].ybar, labels[0].beta, lam)
+        assert label_is_degenerate(ld, label) == _degenerate_by_form(ld, label)
+    assert rejected > 0

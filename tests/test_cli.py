@@ -181,6 +181,10 @@ def test_bad_inputs_exit_one(capsys):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "chars-eval", "--type", "A2", "--pq", "4,3",
                "--x", "0.1")[0] == 1  # wrong coordinate count
+    code, out, err = run(capsys, "theta-check", "--type", "A2",
+                         "--x", "0.1,0.2,0.3")
+    assert (code, out) == (1, "")
+    assert err.startswith("kacfusion: error: --x needs 2 coordinates for A2")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -193,8 +197,11 @@ def test_bad_inputs_exit_one(capsys):
     (["chars-eval", "--type", "A1", "--pq", "5,2", "--tau", "abc"],
      "argument --tau"),
     (["theta-check", "--x", " "], "argument --x"),
+    (["theta-check", "--index", "0"], "argument --index"),
+    (["theta-check", "--index", "-2"], "argument --index"),
 ], ids=["pq-blank", "pq-one-part", "pq-three-parts", "pq-not-integers",
-        "level-blank", "level-zero-denominator", "tau-malformed", "x-blank"])
+        "level-blank", "level-zero-denominator", "tau-malformed", "x-blank",
+        "index-zero", "index-negative"])
 def test_malformed_flags_exit_one_with_usage(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1

@@ -1,5 +1,6 @@
 """Structural data of the finite root systems and their twisted partners."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -94,9 +95,33 @@ def test_rho_and_pairings(name):
     assert rs.inner_finite(rs.rho, rs.rho) == Fraction(rs.hvee * rs.dim_g, 12)
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4"])
+def _gauss(a, b):
+    """(det a, a^-1 b) by Fraction Gauss-Jordan elimination."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    det = Fraction(1)
+    for i in range(n):
+        piv = next(r for r in range(i, n) if m[r][i] != 0)
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            det = -det
+        det *= m[i][i]
+        m[i] = [x / m[i][i] for x in m[i]]
+        for r in range(n):
+            if r != i and m[r][i] != 0:
+                f = m[r][i]
+                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+    return det, tuple(row[n] for row in m)
+
+
+def _member(gens, v):
+    return all(x.denominator == 1 for x in _gauss(gens, v)[1])
+
+
+@pytest.mark.parametrize("name", [str(s) for s in all_specs()])
 def test_lattice_predicates(name):
     rs = build_root_system(name)
+    lattices = (rs.latt_P, rs.latt_Q, rs.latt_Qvee, rs.latt_Qstar)
     for alpha in rs.positive_roots:
         assert rs.in_lattice(rs.latt_Q, alpha)
         assert rs.in_lattice(rs.latt_P, alpha)
@@ -107,8 +132,30 @@ def test_lattice_predicates(name):
         # coroots pair integrally with roots, so Qvee sits inside Qstar
         assert rs.in_lattice(rs.latt_Qstar, cv)
     # index of Q in P is the determinant of the Cartan matrix
-    from kacfusion.ratlin import lattice_index
-    assert lattice_index(rs.latt_P, rs.latt_Q) == rs.fundamental_group_order
+    det_q = _gauss(rs.latt_Q, rs.rho)[0]
+    assert det_q / _gauss(rs.latt_P, rs.rho)[0] == rs.fundamental_group_order
+    # non-members: rho / 2 lies in none, and some fundamental weight lies
+    # outside Q exactly when det A > 1
+    half_rho = tuple(x / 2 for x in rs.rho)
+    assert not any(rs.in_lattice(latt, half_rho) for latt in lattices)
+    with pytest.raises(ValueError):
+        rs.in_lattice(tuple(tuple(3 * x for x in row) for row in rs.latt_P), rs.rho)
+    outside = [i for i in range(1, rs.rank + 1)
+               if not rs.in_lattice(rs.latt_Q, rs.fundamental_weight(i))]
+    assert bool(outside) == (rs.fundamental_group_order > 1)
+    # seeded rational vectors and lattice points against the Fraction solver
+    rng = random.Random(name)
+    for _ in range(12):
+        v = tuple(Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 6)))
+                  for _ in range(rs.rank))
+        coeffs = [rng.randint(-3, 3) for _ in range(rs.rank)]
+        assert rs.root_coords(v) == _gauss(rs.latt_Q, v)[1]
+        for latt in lattices:
+            assert rs.in_lattice(latt, v) == _member(latt, v)
+            point = tuple(sum(x * c for x, c in zip(row, coeffs)) for row in latt)
+            assert rs.in_lattice(latt, point)
+            w = rs.fundamental_weight(rng.randint(1, rs.rank))
+            assert rs.in_lattice(latt, w) == _member(latt, w)
 
 
 def test_node_orbits():
@@ -189,6 +236,23 @@ def test_integer_root_data(name):
             assert all(type(x) is Fraction for x in alpha)
             weight_coords = tuple(int(x) for x in alpha)
             assert _root_norm2(coords, weight_coords, sys.d) == sys.norm2_finite(alpha)
+        # the integer lattice data against the Fraction forms it replaces
+        mu = tuple(Fraction(i + 2, 7 * (i + 1)) for i in range(sys.rank))
+        def form(a, b):
+            return sum(x * g * y for x, row in zip(a, sys.gram) for g, y in zip(row, b))
+
+        for alpha, row, step in zip(sys.positive_roots, sys.coroot_coords,
+                                    sys.coroot_steps):
+            n2, pairing = form(alpha, alpha), form(mu, alpha)
+            assert sum(k * x for k, x in zip(row, mu)) == 2 * pairing / n2
+            assert sys.inner_finite(mu, alpha) == pairing
+            assert step == 2 / n2
+        assert sys.fundamental_group_order == _gauss(sys.cartan, mu)[0]
+        assert all(Fraction(a, sys.fundamental_group_order) == b
+                   for ra, rb in zip(sys.cartan_adj, sys.cartan_inv)
+                   for a, b in zip(ra, rb))
+        assert all(Fraction(a, sys.gram_den) == b
+                   for ra, rb in zip(sys.gram_num, sys.gram) for a, b in zip(ra, rb))
 
 
 def test_build_is_memoised_per_type():

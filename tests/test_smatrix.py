@@ -8,6 +8,7 @@ import pytest
 
 from kacfusion import (
     LevelData,
+    all_specs,
     build_smatrix,
     build_root_system,
     conformal_weight,
@@ -72,6 +73,46 @@ def test_symmetry_and_conjugation(name, p, q):
 def test_norm_index_values():
     assert norm_index(level_data("A1", 5, 2)) == 20
     assert norm_index(level_data("A2", 4, 3)) == 432
+
+
+def _det(a):
+    """Determinant by Fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n, det = len(m), Fraction(1)
+    for i in range(n):
+        piv = next(r for r in range(i, n) if m[r][i] != 0)
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, n):
+            f = m[r][i] / m[i][i]
+            m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+    return det
+
+
+def _lattice_index(amb, sub):
+    return abs(_det(sub) / _det(amb))
+
+
+@pytest.mark.parametrize("name", [str(s) for s in all_specs()])
+def test_norm_index_matches_lattice_index(name):
+    # the closed form against the index of pq L in the weight side lattice,
+    # for principal levels and, off the simply laced types, coprincipal ones
+    rs = build_root_system(name)
+    levels = [(p, q) for p in range(rs.h, rs.h + 4) for q in (1, 2, 3, 5)
+              if math.gcd(p, q) == 1 and p >= rs.hvee]
+    checked = set()
+    for p, q in levels:
+        ld = LevelData.from_pq(rs, p, q)
+        if ld.variant == "principal":
+            amb, sub = rs.latt_P, rs.latt_Qvee
+        else:
+            amb, sub = rs.latt_Qstar, rs.latt_Q
+        ref = _lattice_index(amb, tuple(tuple(p * q * x for x in row) for row in sub))
+        assert norm_index(ld) == ref
+        checked.add(ld.variant)
+    assert checked == ({"principal", "coprincipal"} if rs.rvee > 1 else {"principal"})
 
 
 def _entry_reference(ld, labels):

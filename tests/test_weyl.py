@@ -56,6 +56,10 @@ def test_enumeration_closure(name):
         assert any(w.sign == si.sign * sj.sign for w in prod)
     # half the elements are even
     assert sum(1 for w in W if w.sign == 1) == len(W) // 2
+    for w in W:
+        inv = w.inverse()
+        assert inv.compose(w).is_identity() and w.compose(inv).is_identity()
+        assert inv.sign == w.sign
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "C3"])
