@@ -319,6 +319,7 @@ def _cmd_chars_eval(args) -> int:
         values.append({
             "value": _cx(ev.value),
             "tail_bound": ev.tail_bound,
+            # the most lattice points kept for one theta function of the numerator
             "N": ev.truncation_order,
         })
     payload = {

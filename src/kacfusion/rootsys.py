@@ -248,9 +248,6 @@ class FiniteRootSystem:
     def delta(self) -> AffineWeight:
         return AffineWeight(self.zero(), Fraction(0), Fraction(1))
 
-    def rho_affine(self) -> AffineWeight:
-        return AffineWeight(self.rho, Fraction(self.hvee), Fraction(0))
-
     def inner_finite(self, a, b) -> Fraction:
         """Invariant form on finite weight coordinates (exact on Fractions)."""
         ua, da = int_vector(a)
@@ -320,10 +317,6 @@ class FiniteRootSystem:
         if gens == self.latt_Qvee or gens == self.latt_Qstar:
             v = [x * di for x, di in zip(v, self.d)]
         return is_integral_vec(v)
-
-    def theta_coroot_image(self) -> FiniteWeight:
-        """nu of the coroot of the highest root (a short coroot)."""
-        return self.coroot_image(self.theta)
 
     def theta_short_coroot_image(self) -> FiniteWeight:
         """nu of the coroot of the highest short root (the highest coroot)."""

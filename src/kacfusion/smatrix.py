@@ -107,9 +107,6 @@ class SMatrix:
     def kind(self) -> str:
         return self.level_data.variant
 
-    def index_of(self, label: AdmissibleLabel) -> int:
-        return self.labels.index(label)
-
 
 def _scaled(rows, scale: int, width: int) -> np.ndarray:
     """scale * rows as an int64 array; every entry must become integral."""

@@ -237,9 +237,6 @@ class FusionTensor:
     N: np.ndarray
     max_rounding_error: float
 
-    def multiplicity(self, a: int, b: int, c: int) -> int:
-        return int(self.N[a, b, c])
-
 
 def _conjugation_from_s(S: np.ndarray) -> List[int]:
     P = S @ S

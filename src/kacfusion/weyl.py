@@ -29,9 +29,6 @@ class WeylElement:
     def act(self, v) -> FiniteWeight:
         return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in self.matrix)
 
-    def act_affine(self, lam: AffineWeight) -> AffineWeight:
-        return AffineWeight(self.act(lam.finite), lam.k0, lam.d0)
-
     def compose(self, other: "WeylElement") -> "WeylElement":
         bt = list(zip(*other.matrix))
         m = tuple(

@@ -30,7 +30,8 @@ from kacfusion import (
 )
 import kacfusion
 from kacfusion import chars
-from kacfusion.chars import _char_denominator, theta_jacobi_sum
+from kacfusion.chars import _char_denominator, _theta_sums, theta_jacobi_sum
+from kacfusion.ratlin import lattice_coset_reps
 
 rng = np.random.default_rng(31415)
 
@@ -115,6 +116,37 @@ def test_lattice_theta_oddness_symmetry():
     b = theta_lattice(rs, rs.latt_Qvee, tuple(-x for x in mu), 5, tau,
                       tuple(-v for v in z)).value
     assert abs(a - b) < 1e-12 * max(1, abs(a))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "D4"])
+@pytest.mark.parametrize("lattice", ["Q", "Qvee"])
+@pytest.mark.parametrize("im_z", [0.01, 0.4])
+def test_theta_tail_bound_dominates_the_omitted_terms(name, lattice, im_z):
+    # |S(tol) - S(1e-30)| <= bound(tol): the reference sum is exact to 1e-30,
+    # and rounding adds about 1e-16 of the largest terms
+    rs = build_root_system(name)
+    L = rs.latt_Q if lattice == "Q" else rs.latt_Qvee
+    z = tuple(complex(0.1 + 0.07 * i, im_z) for i in range(rs.rank))
+    for tau in (0.1 + 0.3j, 1j, 2j):
+        loose = theta_lattice(rs, L, rs.rho, 3, tau, z, tol=1e-7)
+        tight = theta_lattice(rs, L, rs.rho, 3, tau, z, tol=1e-30)
+        assert 0 < loose.tail_bound <= 1e-7
+        assert 0 < tight.tail_bound <= 1e-30
+        assert loose.truncation_order < tight.truncation_order
+        assert abs(loose.value - tight.value) <= (
+            loose.tail_bound + tight.tail_bound + 1e-13 * max(1, abs(tight.value)))
+
+
+@pytest.mark.parametrize("name,p", [("A1", 3), ("A2", 4), ("B2", 4), ("G2", 5),
+                                    ("A3", 5), ("B3", 6), ("D4", 6)])
+def test_char_at_zero_bound_dominates_the_omitted_terms(name, p):
+    ld = level_data(name, p, 1)
+    for tau in (0.1 + 0.3j, 1j):
+        for lab in enumerate_admissible(ld)[:3]:
+            loose, e_loose = char_at_zero(ld, lab, tau, tol=1e-6)
+            tight, e_tight = char_at_zero(ld, lab, tau, tol=1e-30)
+            assert 0 < e_loose <= 1e-6 and 0 < e_tight <= 1e-30
+            assert abs(loose - tight) <= e_loose + e_tight + 1e-12 * max(1, abs(tight))
 
 
 def test_lattice_theta_tail_bound_is_honest():
@@ -368,6 +400,113 @@ def test_psi_down_transform_row():
     lhs = psi_w(ld, labels[i], -1 / tau)[0]
     rhs = (-1j) * sum(sm.matrix[i, j] * psis[j] for j in range(len(labels)))
     assert abs(lhs - rhs) < 1e-6
+
+
+# --------------------------------------- batched numerators against per-w sums
+
+# the chi/psi and chars-eval levels of the characters benchmark workload
+CHAR_LEVELS = [
+    ("A1", 5, 2), ("A1", 3, 4), ("A1", 2, 5), ("A1", 5, 7),
+    ("A2", 4, 3), ("B2", 5, 2), ("C2", 5, 2), ("G2", 7, 3),
+]
+CHARS_EVAL_LEVELS = [
+    ("A1", 5, 2), ("A2", 4, 3), ("B2", 5, 2), ("G2", 7, 3),
+    ("A3", 4, 1), ("B3", 5, 1), ("A4", 5, 1), ("D4", 6, 1),
+]
+ORACLE_TAUS = (0.15 + 0.3j, 1j, -0.2 + 2j)
+
+
+def numerator_oracle(ld, label, tau, z, tol, weights=None):
+    """The numerator as one lattice sum per Weyl element, over exact labels
+    q w(nu) + p beta; each sum is to tol / |W|. Returns (value, bound)."""
+    rs = ld.rs
+    W = enumerate_weyl(rs)
+    pbeta = tuple(ld.p * b for b in label.beta)
+    acc, tail = 0j, 0.0
+    for w in W:
+        mu = tuple(ld.q * a + b for a, b in zip(w.act(label.nu.finite), pbeta))
+        if weights is None:
+            ev = theta_lattice(rs, ld.translation_lattice, mu, ld.p * ld.q, tau, z,
+                               tol=tol / len(W))
+            value, bound = ev.value, ev.tail_bound
+        else:
+            sums, _, bound = _theta_sums(
+                chars._lattice(rs, ld.translation_lattice),
+                np.array([[float(v) for v in mu]]), ld.p * ld.q, tau,
+                np.array(z, dtype=complex), tol / len(W), weights=weights)
+            value = complex(sums[0])
+        acc += label.ybar.sign * w.sign * value
+        tail += bound
+    return acc, tail
+
+
+def assert_agree(got, got_bound, ref, ref_bound, scale):
+    # two truncations of one sum differ by at most the sum of their bounds,
+    # plus the rounding of sums whose terms are at most about scale
+    assert abs(got - ref) <= got_bound + ref_bound + 1e-12 * max(1, scale)
+
+
+@pytest.mark.parametrize("name,p,q", sorted(set(CHAR_LEVELS + CHARS_EVAL_LEVELS)))
+def test_batched_characters_match_per_weyl_element_sums(name, p, q):
+    ld = level_data(name, p, q)
+    rs = ld.rs
+    x = tuple(complex(0.07 + 0.03 * i, 0.02 + 0.01 * i) for i in range(rs.rank))
+    zero = (0j,) * rs.rank
+    npos = rs.num_positive_roots
+    pi_rho = float(math.prod(rs.inner_finite(a, rs.rho) for a in rs.positive_roots))
+    weights = 2j * math.pi / q * chars._root_pairings(rs)
+    for tau in ORACLE_TAUS:
+        point = EvalPoint(tau, x)
+        den = _char_denominator(rs, point)
+        eta = dedekind_eta(tau)
+        const = (-1) ** npos * eta ** rs.rank
+        den0 = const * (-2j * math.pi * eta * eta) ** npos * len(enumerate_weyl(rs)) * pi_rho
+        for lab in enumerate_admissible(ld):
+            ref, ref_tail = numerator_oracle(ld, lab, tau, tuple(v / q for v in x), 1e-13)
+            num = char_numerator(ld, lab, point, tol=1e-10)
+            assert num.tail_bound <= 1e-10
+            assert_agree(num.value, num.tail_bound, ref, ref_tail, abs(ref))
+            chi = char_chi(ld, lab, point, tol=1e-10)
+            assert chi.tail_bound <= 1e-10
+            assert_agree(chi.value * den, chi.tail_bound * abs(den), ref, ref_tail, abs(ref))
+
+            ref, ref_tail = numerator_oracle(ld, lab, tau, zero, 1e-15)
+            psi, err = psi_w(ld, lab, tau)
+            assert err <= 1e-12
+            assert_agree(psi * const, err * abs(const), ref, ref_tail, abs(ref))
+
+            ref, ref_tail = numerator_oracle(ld, lab, tau, zero, 1e-15, weights)
+            v0, err0 = char_at_zero(ld, lab, tau)
+            assert err0 <= 1e-12
+            assert_agree(v0 * den0, err0 * abs(den0), ref, ref_tail, abs(ref))
+
+
+def theta_check_rhs_oracle(rs, L, mu, m, tau, z, tol):
+    """The right side of the theta transform as one theta_lattice call per
+    coset representative, with exact phases. Returns (value, bound)."""
+    dual = chars.dual_lattice(rs, L)
+    cols = tuple(zip(*L))
+    mL = tuple(tuple(m * rs.inner_finite(a, b) for b in cols) for a in cols)
+    reps = lattice_coset_reps(dual, mL)
+    pref = cmath.exp((rs.rank / 2) * cmath.log(-1j * tau)) / math.sqrt(len(reps))
+    acc, tail = 0j, 0.0
+    for rep in reps:
+        phase = cmath.exp(-2j * math.pi * float(rs.inner_finite(mu, rep)) / m)
+        ev = theta_lattice(rs, L, rep, m, tau, z, tol=tol)
+        acc += phase * ev.value
+        tail += abs(pref) * ev.tail_bound
+    return pref * acc, tail
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "G2", "A3", "B3", "A4", "D4"])
+def test_batched_theta_check_matches_per_representative_sums(name):
+    rs = build_root_system(name)
+    z = tuple(complex(0.1 + 0.05 * i, 0.03) for i in range(rs.rank))
+    for tau in ORACLE_TAUS:
+        out = theta_lattice_check(rs, rs.latt_Qvee, rs.rho, 2, tau, z, tol=1e-10)
+        ref, ref_tail = theta_check_rhs_oracle(rs, rs.latt_Qvee, rs.rho, 2, tau, z, 1e-13)
+        assert_agree(out["rhs"], out["tail_bound"], ref, ref_tail, abs(ref))
+        assert out["abs_error"] < 1e-9
 
 
 # ------------------------------------------------------------------- exports

@@ -112,7 +112,8 @@ def test_chars_eval(capsys):
     assert len(doc["values"]) == 8
     for entry in doc["values"]:
         assert set(entry) == {"value", "tail_bound", "N"}
-        assert entry["tail_bound"] < 1e-8
+        # a proved bound, at most the --tol default
+        assert 0 < entry["tail_bound"] <= 1e-9
 
 
 def test_theta_check(capsys):
@@ -122,6 +123,16 @@ def test_theta_check(capsys):
     assert doc["pass"] is True
     assert doc["scalar_residual"] < 1e-10
     assert doc["lattice_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ("--type", "D4", "--tau", "0.3i"), ("--type", "A2", "--tau", "0.1i"),
+])
+def test_theta_check_small_im_tau(capsys, argv):
+    # the point budget stays per theta function: these evaluate
+    code, doc, _ = run_json(capsys, "theta-check", *argv)
+    assert code == 0
+    assert doc["pass"] is True
 
 
 def test_wlabels(capsys):
