@@ -7,7 +7,12 @@ the denominator-1 chamber, phi rescales Lambda0 by 1/q, ybar is a finite
 Weyl element and beta lies in the coweight lattice Qstar. The pair
 (ybar, beta) is constrained so that the transported chamber basis consists
 of positive coroots; each weight admits exactly |J| such triples, related
-by the extended generators sigma_j.
+by the extended generators sigma_j (Kac-Wakimoto 1989, Thm 2.1).
+
+The pairs are enumerated from the closed level-q alcove of Qstar: beta =
+-ybar(eta) for an alcove point eta and ybar one of the minimal coset
+representatives of W modulo the stabiliser of eta, which an integer gallery
+search over simple reflections lists without enumerating W.
 """
 
 from dataclasses import dataclass
@@ -17,34 +22,23 @@ from math import gcd
 from typing import Tuple
 
 from .errors import ChamberError, LatticeError, LevelError
-from .ratlin import (
-    frac,
-    int_vector,
-    is_integral_vec,
-    lattice_coset_reps,
-    vec,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+from .ratlin import frac, int_vector, is_integral_vec, vec, vec_add, vec_scale, vec_sub
 from .rootsys import AffineWeight, FiniteRootSystem, FiniteWeight
 from .weyl import (
-    ExtAffineElement,
     WeylElement,
     _affine_reduce,
+    _cartan_columns,
     _node0_data,
-    affine_action,
-    coroot_basis_Sq,
+    _reflect_rows,
     extended_generators,
+    to_dominant,
 )
 
 __all__ = [
     "AdmissibleLabel",
     "LevelData",
-    "coroot_basis_Sq",
     "decompose_mu",
     "enumerate_admissible",
-    "ga_from_beta",
     "label_from_mu",
     "label_is_degenerate",
     "verify_admissible",
@@ -172,36 +166,8 @@ def _chamber_nu(ld: LevelData):
     )
 
 
-def ga_from_beta(ld: LevelData, beta):
-    """Resolve the chamber pair (ybar, gamma) attached to beta in Qstar.
-
-    Returns the unique finite Weyl element ybar and gamma in the translation
-    lattice L such that y = t_{beta + q gamma} ybar carries the level-q
-    chamber coroot basis to positive coroots. Computed by transporting
-    t_{-beta} Lambda0 into the chamber with an infinitesimal rho tie-break,
-    which also covers non-regular positions of beta.
-    """
-    rs = ld.rs
-    beta = vec(beta)
-    if not rs.in_lattice(rs.latt_Qstar, beta):
-        raise LatticeError("beta must lie in the coweight lattice Qstar")
-    u, _, _ = _affine_reduce(
-        rs, ld.q, ld.variant, Fraction(1), vec_scale(Fraction(-1), beta), rs.rho
-    )
-    winv = u.wbar.inverse()
-    ybar = winv
-    gamma = vec_scale(Fraction(-1, ld.q), winv.act(u.beta))
-    if not rs.in_lattice(ld.translation_lattice, gamma):
-        raise AssertionError("chamber resolution left the translation lattice")
-    return ybar, gamma
-
-
 def _triple_key(nu: AffineWeight, ybar: WeylElement, beta):
     return (nu.finite, tuple(beta), ybar.matrix)
-
-
-def _label_mu(ld: LevelData, nu, ybar, beta) -> FiniteWeight:
-    return vec_add(ybar.act(nu.finite), vec_scale(ld.m, beta))
 
 
 def _sigma_orbit(ld: LevelData, nu: AffineWeight, ybar: WeylElement, beta):
@@ -223,46 +189,84 @@ def _sigma_orbit(ld: LevelData, nu: AffineWeight, ybar: WeylElement, beta):
     return out
 
 
+def _alcove_reps(ld: LevelData, eta):
+    """The finite Weyl elements ybar with ybar(pi) > 0 for every wall pi of eta.
+
+    The walls are alpha_i where eta_i = 0, and -theta0 where eta lies on the
+    node-0 wall sum c_i eta_i = q; the ybar are one per coset of W modulo
+    the stabiliser of eta. Their chambers ybar^-1(rho) fill the convex cone
+    (x, pi_vee) > 0, so they are gallery connected: s_i ybar is one of them
+    unless ybar(pi) = alpha_i for a wall pi. The search starts from the
+    chamber of N (q rho - H eta) + rho, H = 1 + sum c_i, a regular point of
+    the cone since N = h exceeds every (rho, alpha_vee); elements are keyed
+    by ybar(rho), and each step is a rank-one update of the matrix rows.
+    """
+    rs = ld.rs
+    coeffs, theta0 = _node0_data(rs, ld.variant)
+    cols = _cartan_columns(rs)
+    simple = [tuple(int(x) for x in col) for col in zip(*rs.cartan)]
+    walls = [simple[i] for i, x in enumerate(eta) if x == 0]
+    if sum(c * x for c, x in zip(coeffs, eta)) == ld.q:
+        walls.append(tuple(-int(x) for x in theta0))
+    big = 1 + sum(coeffs)
+    w, _ = to_dominant(rs, [rs.h * (ld.q - big * x) + 1 for x in eta])
+    stack = [([list(row) for row in w.matrix], w.sign)]
+    seen = {tuple(map(sum, w.matrix))}
+    while stack:
+        mat, sign = stack.pop()
+        ybar = WeylElement(tuple(map(tuple, mat)), sign)
+        yield ybar
+        images = [ybar.act(pi) for pi in walls]
+        for i, root in enumerate(cols):
+            if simple[i] in images:
+                continue
+            child = list(mat)
+            _reflect_rows(child, mat[i], root)
+            key = tuple(map(sum, child))
+            if key not in seen:
+                seen.add(key)
+                stack.append((child, -sign))
+
+
 @lru_cache(maxsize=None)
 def enumerate_admissible(ld: LevelData):
     """All admissible weights of the level, sorted by finite coordinates.
 
-    Iterates beta over coset representatives of Qstar / qL and nu over the
-    q = 1 chamber; each weight must be reached exactly |J| times (|LJ| for
-    the coprincipal variant), once per sigma twist, and is stored with its
-    lexicographically least triple.
+    The classes of Qstar / qL are the W-translates of the points eta of
+    Qstar in the closed level-q alcove, beta = -ybar(eta) with ybar from
+    _alcove_reps (the rho tie-break of a chamber reduction of -beta, worked
+    out). Qstar coordinates are the multiples of 1/d_i, so eta_i = n_i / d_i
+    with n dominant and sum (c_i / d_i) n_i <= q. With nu over the q = 1
+    chamber, q mu = ybar(q nu - p eta) is an integer vector. Each weight
+    must be reached exactly |J| times (|LJ| for the coprincipal variant),
+    once per sigma twist, and is stored with its least triple (nu, beta,
+    ybar).
     """
     rs = ld.rs
-    # Qstar has the generators Lambda_i / d_i, so q L has the coefficients q d_i L_ij
-    qL = tuple(
-        tuple(ld.q * di * x for x in row)
-        for di, row in zip(rs.d, ld.translation_lattice)
-    )
-    reps = lattice_coset_reps(rs.latt_Qstar, qL)
+    p, q = ld.p, ld.q
     nodes = rs.J if ld.variant == "principal" else rs.LJ
-    chamber = _chamber_nu(ld)
+    chamber = {tuple(int(x) for x in nu.finite): nu for nu in _chamber_nu(ld)}
+    steps = [int(1 / di) for di in rs.d]
     found = {}
-    for beta0 in reps:
-        ybar, gamma = ga_from_beta(ld, beta0)
-        beta = vec_add(beta0, vec_scale(Fraction(ld.q), gamma))
-        y = ExtAffineElement(beta, ybar)
-        for g in coroot_basis_Sq(rs, ld.q, ld.variant):
-            if not rs.affine_is_positive(affine_action(rs, y, g)):
-                raise AssertionError("chamber basis not carried to positive coroots")
-        for nu in chamber:
-            mu = _label_mu(ld, nu, ybar, beta)
-            found.setdefault(mu, []).append((nu, ybar, beta))
+    for pt in _dominant_weights([c * s for c, s in zip(ld.node0_coeffs, steps)], q):
+        eta = [int(n) * s for n, s in zip(pt, steps)]
+        for ybar in _alcove_reps(ld, eta):
+            beta = tuple(-x for x in ybar.act(eta))
+            for nu in chamber:
+                qmu = ybar.act([q * a - p * b for a, b in zip(nu, eta)])
+                found.setdefault(qmu, []).append((nu, beta, ybar))
     labels = []
-    for mu in sorted(found):
-        triples = found[mu]
+    for qmu in sorted(found):
+        triples = found[qmu]
         if len(triples) != len(nodes):
             raise AssertionError(
                 f"weight reached {len(triples)} times, expected {len(nodes)}"
             )
-        nu, ybar, beta = min(triples, key=lambda t: _triple_key(*t))
-        lam = AffineWeight(vec_sub(mu, rs.rho), ld.k, Fraction(0))
-        labels.append(AdmissibleLabel(nu, ybar, beta, lam))
-    labels.sort(key=lambda lab: lab.lam.finite)
+        nu, beta, ybar = min(triples, key=lambda t: (t[0], t[1], t[2].matrix))
+        lam = tuple(Fraction(x, q) - r for x, r in zip(qmu, rs.rho))
+        labels.append(AdmissibleLabel(
+            chamber[nu], ybar, vec(beta), AffineWeight(lam, ld.k, Fraction(0))
+        ))
     return tuple(labels)
 
 
@@ -292,7 +296,7 @@ def decompose_mu(ld: LevelData, mu):
         pi.append(shift)
     beta0 = vec_add(beta0, vec_scale(ld.q, pi))
     nu0 = vec_sub(nu0, vec_scale(ld.p, pi))
-    red, fin, _ = _affine_reduce(rs, 1, ld.variant, Fraction(ld.p), nu0, None)
+    red, fin = _affine_reduce(rs, 1, ld.variant, Fraction(ld.p), nu0)
     coeffs = ld.node0_coeffs
     node0 = ld.p - sum(coeffs[i] * fin[i] for i in range(rs.rank))
     if node0 == 0 or any(x == 0 for x in fin):

@@ -10,6 +10,7 @@ tolerance.
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +26,7 @@ from .admissible import (
 )
 from .chars import EvalPoint, char_chi, theta_jacobi_check, theta_lattice_check
 from .errors import KacfusionError
+from .ratlin import transpose
 from .rootsys import build_root_system, langlands_dual_datum
 from .smatrix import (
     _sl2_report,
@@ -340,6 +342,17 @@ def _cmd_chars_eval(args) -> int:
 
 def _cmd_theta_check(args) -> int:
     rs = build_root_system(args.type)
+    # the theta label must pair integrally with the lattice
+    if args.lattice == "Q":
+        lattice, mu = rs.latt_Q, rs.theta
+    else:
+        lattice, mu = rs.latt_Qvee, rs.rho
+    cols = transpose(lattice)
+    step = math.lcm(*(rs.inner_finite(a, b).denominator for a in cols for b in cols))
+    if args.index % step:
+        raise KacfusionError(
+            f"--index {args.index} leaves m (L_i, L_j) non-integral on the "
+            f"{args.lattice} lattice of {rs.spec}: use a multiple of {step}")
     rng = np.random.default_rng(args.seed)
     if args.x is not None:
         if len(args.x) not in (1, rs.rank):
@@ -350,11 +363,6 @@ def _cmd_theta_check(args) -> int:
         draw = rng.uniform(0.05, 0.4, size=2 * rs.rank)
         zvec = tuple(complex(draw[2 * i], draw[2 * i + 1] / 4) for i in range(rs.rank))
     scalar = theta_jacobi_check(args.tau, zvec[0])
-    # the theta label must pair integrally with the lattice
-    if args.lattice == "Q":
-        lattice, mu = rs.latt_Q, rs.theta
-    else:
-        lattice, mu = rs.latt_Qvee, rs.rho
     lat = theta_lattice_check(
         rs, lattice, mu, args.index, args.tau, zvec,
         tol=min(args.tol * 1e-2, 1e-10), max_points=args.trunc,

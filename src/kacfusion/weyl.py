@@ -268,52 +268,33 @@ def coroot_basis_Sq(rs: FiniteRootSystem, q: int, variant: str = "principal"):
     return tuple(basis)
 
 
-def _affine_reduce(rs, q, variant, k0, fin, eps, cap=200000):
-    """Greedy reduction into the level-q chamber, with an optional
-    infinitesimal tie-break component eps transported alongside.
+def _affine_reduce(rs, q, variant, k0, fin, cap=200000):
+    """Greedy reduction into the closed level-q chamber.
 
-    A condition is violated when its main value is negative, or zero with
-    negative eps value. Returns (u, fin', eps') with u in the affine group
-    generated by the finite reflections and the level-q node reflection.
+    A condition is violated when its value is negative. Returns (u, fin')
+    with u in the affine group generated by the finite reflections and the
+    level-q node reflection.
 
     Every reflection is a rank-one update v - <v, a> root: for s_i the
     pairing a is the i-th coordinate and the root alpha_i; for the node-0
     reflection the pairing is coeffs . v and the root the relevant highest
-    root, with the level-q shift added to the main value and to the
-    translation. The matrix of u is kept as integer rows and u is built
-    once, on return.
+    root, with the level-q shift added to the value and to the translation.
+    The matrix of u is kept as integer rows and u is built once, on return.
     """
     coeffs, theta = _node0_data(rs, variant)
     cols = _cartan_columns(rs)
     node0_root = tuple((r, int(x)) for r, x in enumerate(theta) if x != 0)
     n = rs.rank
     fin = list(vec(fin))
-    eps = list(vec(eps)) if eps is not None else None
     beta = [Fraction(0)] * n
     mat = _identity_rows(n)
     sign = 1
     q = frac(q)
     qk0 = q * k0
     for _ in range(cap):
-        hit = None
-        node0_main = qk0 - sum(coeffs[i] * fin[i] for i in range(n))
-        node0_eps = (
-            -sum(coeffs[i] * eps[i] for i in range(n)) if eps is not None else 0
-        )
-        if node0_main < 0 or (node0_main == 0 and eps is not None and node0_eps < 0):
-            hit = 0
-        else:
-            for i in range(n):
-                if fin[i] < 0 or (fin[i] == 0 and eps is not None and eps[i] < 0):
-                    hit = i + 1
-                    break
-        if hit is None:
-            u = ExtAffineElement(tuple(beta), _weyl_from_rows(mat, sign))
-            return u, tuple(fin), tuple(eps) if eps is not None else None
-        if hit == 0:
-            _reflect(fin, -node0_main, node0_root)
-            if eps is not None:
-                _reflect(eps, -node0_eps, node0_root)
+        node0 = qk0 - sum(coeffs[i] * fin[i] for i in range(n))
+        if node0 < 0:
+            _reflect(fin, -node0, node0_root)
             _reflect(beta, sum(coeffs[i] * beta[i] for i in range(n)) - q, node0_root)
             _reflect_rows(
                 mat,
@@ -321,11 +302,11 @@ def _affine_reduce(rs, q, variant, k0, fin, eps, cap=200000):
                 node0_root,
             )
         else:
-            k = hit - 1
+            k = next((i for i in range(n) if fin[i] < 0), None)
+            if k is None:
+                return ExtAffineElement(tuple(beta), _weyl_from_rows(mat, sign)), tuple(fin)
             root = cols[k]
             _reflect(fin, fin[k], root)
-            if eps is not None:
-                _reflect(eps, eps[k], root)
             _reflect(beta, beta[k], root)
             _reflect_rows(mat, mat[k], root)
         sign = -sign
@@ -348,7 +329,7 @@ def affine_to_dominant(
     """
     if xi.k0 <= 0:
         raise ChamberError("chamber reduction needs a positive level")
-    u, fin, _ = _affine_reduce(rs, q, variant, xi.k0, xi.finite, None)
+    u, fin = _affine_reduce(rs, q, variant, xi.k0, xi.finite)
     out = affine_action(rs, u, xi)
     if strict:
         coeffs, _ = _node0_data(rs, variant)

@@ -2,22 +2,28 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from test_weyl import _composed_affine_reduce
 
 from kacfusion import (
+    ExtAffineElement,
     LevelData,
     LevelError,
     build_root_system,
+    coroot_basis_Sq,
     enumerate_admissible,
+    enumerate_weyl,
     label_from_mu,
     label_is_degenerate,
     verify_admissible,
     weyl_order,
 )
-from kacfusion.admissible import AdmissibleLabel
-from kacfusion.ratlin import vec_add, vec_scale
+from kacfusion.admissible import AdmissibleLabel, _chamber_nu, _triple_key
+from kacfusion.ratlin import lattice_coset_reps, vec_add, vec_scale, vec_sub
 from kacfusion.rootsys import AffineWeight, affine
+from kacfusion.weyl import affine_action
 
 COUNTS = [
     ("A1", 3, 1, 2),
@@ -228,3 +234,93 @@ def test_closed_forms_match_scan_and_form(name, p, q):
         label = AdmissibleLabel(labels[0].nu, labels[0].ybar, labels[0].beta, lam)
         assert label_is_degenerate(ld, label) == _degenerate_by_form(ld, label)
     assert rejected > 0
+
+
+def _enumerate_by_cosets(ld):
+    """The coset route to the labels, kept as the reference: Qstar / qL
+    representatives from the Hermite box, each reduced into the level-q
+    chamber with an infinitesimal rho tie-break, then |chamber| Fraction
+    weights per representative."""
+    rs = ld.rs
+    qL = tuple(tuple(ld.q * di * x for x in row)
+               for di, row in zip(rs.d, ld.translation_lattice))
+    nodes = rs.J if ld.variant == "principal" else rs.LJ
+    found = {}
+    for beta0 in lattice_coset_reps(rs.latt_Qstar, qL):
+        u, _, _ = _composed_affine_reduce(
+            rs, ld.q, ld.variant, Fraction(1), vec_scale(-1, beta0), rs.rho)
+        ybar = u.wbar.inverse()
+        gamma = vec_scale(Fraction(-1, ld.q), ybar.act(u.beta))
+        assert rs.in_lattice(ld.translation_lattice, gamma)
+        beta = vec_add(beta0, vec_scale(ld.q, gamma))
+        for nu in _chamber_nu(ld):
+            mu = vec_add(ybar.act(nu.finite), vec_scale(ld.m, beta))
+            found.setdefault(mu, []).append((nu, ybar, beta))
+    labels = []
+    for mu in sorted(found):
+        assert len(found[mu]) == len(nodes)
+        nu, ybar, beta = min(found[mu], key=lambda t: _triple_key(*t))
+        lam = AffineWeight(vec_sub(mu, rs.rho), ld.k, Fraction(0))
+        labels.append(AdmissibleLabel(nu, ybar, beta, lam))
+    return tuple(labels)
+
+
+# the levels of the four benchmark workloads
+WORKLOAD_LEVELS = [
+    ("A1", 5, 2), ("A1", 7, 3), ("A1", 3, 4), ("A2", 4, 3), ("A2", 7, 2),
+    ("B2", 5, 2), ("C2", 5, 2), ("G2", 7, 3), ("B3", 7, 2), ("A2", 5, 4),
+    ("A2", 3, 4), ("A2", 3, 5), ("B2", 3, 5), ("C2", 3, 5), ("G2", 4, 7),
+    ("A2", 4, 5), ("A2", 7, 5), ("A3", 5, 3), ("A1", 2, 5), ("A1", 5, 7),
+    ("A3", 4, 1), ("B3", 5, 1), ("A4", 5, 1), ("D4", 6, 1),
+] + [("A1", p, q) for q in range(3, 10) for p in range(2, q) if gcd(p, q) == 1] + [
+    ("A1", p, 1) for p in range(3, 9)
+] + [
+    ("A5", 6, 1), ("B4", 7, 1), ("C4", 5, 1), ("D5", 8, 1), ("F4", 9, 1),
+    ("A6", 7, 1), ("A4", 6, 1), ("D4", 7, 1),
+    ("E7", 18, 1), ("E8", 30, 1), ("B8", 15, 1), ("C8", 9, 1), ("D8", 14, 1),
+]
+# and those of the other tests, coprincipal levels of every non-simply-laced
+# type, exceptional and rank-8 levels at q = 1 and E6 at q = 2
+ALCOVE_LEVELS = sorted(set(WORKLOAD_LEVELS + ORACLE_LEVELS + [
+    ("B2", 5, 4), ("B2", 7, 6), ("C2", 5, 4), ("C3", 7, 4), ("C3", 7, 6),
+    ("G2", 7, 6), ("G2", 8, 9), ("F4", 13, 2), ("A3", 5, 4), ("E6", 13, 2),
+    ("E6", 12, 1), ("E6", 13, 1), ("E7", 19, 1), ("E8", 31, 1),
+    ("B8", 16, 1), ("C8", 10, 1), ("D8", 15, 1),
+    ("A1", 2, 1), ("A1", 3, 2), ("A1", 4, 3), ("A1", 5, 3), ("A1", 5, 4),
+    ("A2", 4, 1), ("A2", 5, 1), ("A3", 5, 1), ("B2", 4, 1), ("B3", 6, 1),
+    ("D6", 10, 1), ("G2", 5, 1),
+]))
+
+
+@pytest.mark.parametrize("name,p,q", ALCOVE_LEVELS)
+def test_alcove_enumeration_matches_coset_route(name, p, q):
+    ld = level_data(name, p, q)
+    labels = enumerate_admissible(ld)
+    ref = _enumerate_by_cosets(ld)
+    assert repr(labels) == repr(ref)
+    rs = ld.rs
+    for lab in labels[:200]:
+        again = label_from_mu(ld, vec_add(lab.lam.finite, rs.rho))
+        assert repr(again) == repr(lab)
+
+
+@pytest.mark.parametrize("name,p,q", [
+    ("A2", 5, 4), ("B2", 5, 4), ("C3", 7, 4), ("G2", 8, 9), ("B3", 7, 2),
+    ("A3", 5, 3), ("F4", 13, 2), ("D4", 7, 1),
+])
+def test_labels_carry_chamber_basis_to_positive_coroots(name, p, q):
+    ld = level_data(name, p, q)
+    rs = ld.rs
+    basis = coroot_basis_Sq(rs, ld.q, ld.variant)
+    for lab in enumerate_admissible(ld):
+        y = ExtAffineElement(lab.beta, lab.ybar)
+        assert all(rs.affine_is_positive(affine_action(rs, y, g)) for g in basis)
+
+
+@pytest.mark.parametrize("name,p", [("E7", 19), ("E8", 30), ("D8", 14)])
+def test_enumeration_never_lists_the_weyl_group(name, p):
+    ld = level_data(name, p, 1)
+    misses = enumerate_weyl.cache_info().misses
+    labels = enumerate_admissible.__wrapped__(ld)
+    assert enumerate_weyl.cache_info().misses == misses
+    assert len(labels) == len(_chamber_nu(ld))

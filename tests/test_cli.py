@@ -135,6 +135,18 @@ def test_theta_check_small_im_tau(capsys, argv):
     assert doc["pass"] is True
 
 
+def test_theta_check_index_must_make_the_lattice_integral(capsys):
+    # the G2 root lattice has (alpha, alpha) = 2/3 on short roots
+    code, out, err = run(capsys, "theta-check", "--type", "G2", "--lattice", "Q")
+    assert (code, out) == (1, "")
+    assert err.startswith("kacfusion: error: --index 4 ")
+    assert "multiple of 3" in err
+    code, doc, _ = run_json(capsys, "theta-check", "--type", "G2", "--lattice", "Q",
+                            "--index", "3")
+    assert code == 0
+    assert doc["pass"] is True
+
+
 def test_wlabels(capsys):
     code, doc, _ = run_json(capsys, "wlabels", "--type", "A1", "--pq", "2,5")
     assert code == 0
