@@ -136,14 +136,18 @@ class AdmissibleLabel:
         return f"AdmissibleLabel([{lam}]; level {self.lam.k0})"
 
 
-def _dominant_weights(coeffs, level: int) -> Tuple[FiniteWeight, ...]:
-    """Dominant integral weights with sum c_i lambda_i <= level, sorted."""
+def _dominant_weights(coeffs, level: int) -> Tuple[Tuple[int, ...], ...]:
+    """Dominant integral weights with sum c_i lambda_i <= level, sorted.
+
+    The weights are integer tuples; callers build Fractions where they keep
+    a weight.
+    """
     out = []
 
     def rec(prefix, used):
         i = len(prefix)
         if i == len(coeffs):
-            out.append(vec(prefix))
+            out.append(tuple(prefix))
             return
         for n in range((level - used) // coeffs[i] + 1):
             rec(prefix + [n], used + coeffs[i] * n)
@@ -152,17 +156,25 @@ def _dominant_weights(coeffs, level: int) -> Tuple[FiniteWeight, ...]:
     return tuple(out)
 
 
-def _chamber_nu(ld: LevelData):
+def _chamber_points(ld: LevelData) -> Tuple[Tuple[int, ...], ...]:
     """Regular dominant integral weights of level p in the q = 1 chamber.
 
     Coordinates satisfy n_i >= 1 with sum c_i n_i <= p - 1, where c are the
-    node-0 pairing coefficients of the variant: rho plus the dominant weights
-    with sum c_i lambda_i <= p - 1 - sum c_i. Output is sorted.
+    node-0 pairing coefficients of the variant: rho = (1, ..., 1) plus the
+    dominant weights with sum c_i lambda_i <= p - 1 - sum c_i. Output is
+    sorted integer tuples.
     """
     coeffs = ld.node0_coeffs
     return tuple(
-        AffineWeight(vec_add(lam, ld.rs.rho), Fraction(ld.p), Fraction(0))
+        tuple(x + 1 for x in lam)
         for lam in _dominant_weights(coeffs, ld.p - 1 - sum(coeffs))
+    )
+
+
+def _chamber_nu(ld: LevelData):
+    """The chamber points as AffineWeights of level p, in the same order."""
+    return tuple(
+        AffineWeight(vec(nu), Fraction(ld.p), Fraction(0)) for nu in _chamber_points(ld)
     )
 
 
@@ -245,11 +257,11 @@ def enumerate_admissible(ld: LevelData):
     rs = ld.rs
     p, q = ld.p, ld.q
     nodes = rs.J if ld.variant == "principal" else rs.LJ
-    chamber = {tuple(int(x) for x in nu.finite): nu for nu in _chamber_nu(ld)}
+    chamber = dict(zip(_chamber_points(ld), _chamber_nu(ld)))
     steps = [int(1 / di) for di in rs.d]
     found = {}
     for pt in _dominant_weights([c * s for c, s in zip(ld.node0_coeffs, steps)], q):
-        eta = [int(n) * s for n, s in zip(pt, steps)]
+        eta = [n * s for n, s in zip(pt, steps)]
         for ybar in _alcove_reps(ld, eta):
             beta = tuple(-x for x in ybar.act(eta))
             for nu in chamber:
@@ -263,7 +275,8 @@ def enumerate_admissible(ld: LevelData):
                 f"weight reached {len(triples)} times, expected {len(nodes)}"
             )
         nu, beta, ybar = min(triples, key=lambda t: (t[0], t[1], t[2].matrix))
-        lam = tuple(Fraction(x, q) - r for x, r in zip(qmu, rs.rho))
+        # lam = mu - rho with rho = (1, ..., 1)
+        lam = tuple(Fraction(x - q, q) for x in qmu)
         labels.append(AdmissibleLabel(
             chamber[nu], ybar, vec(beta), AffineWeight(lam, ld.k, Fraction(0))
         ))
@@ -344,6 +357,15 @@ def label_from_mu(ld: LevelData, mu) -> AdmissibleLabel:
     return AdmissibleLabel(nu, ybar, beta, lam)
 
 
+def _shifted_by_rho(fin):
+    """(u, den) with fin + rho = u / den, den the least common denominator.
+
+    rho is (1, ..., 1), so the shift adds den to the numerators of fin.
+    """
+    u, den = int_vector(fin)
+    return tuple(x + den for x in u), den
+
+
 def verify_admissible(ld: LevelData, lam):
     """Check the pairing condition of admissibility directly.
 
@@ -356,15 +378,18 @@ def verify_admissible(ld: LevelData, lam):
     which lies in its first period, is positive. Returns (ok,
     integral_coroots) where the second entry holds one coroot per direction
     and residue class with an integral pairing (delta coefficients within
-    the first period).
+    the first period). The coroot image 2 alpha / (alpha, alpha) is s alpha,
+    and rho is (1, ..., 1), so lam + rho = (u + den) / den for lam = u / den:
+    the pairings are integer sums.
     """
     rs = ld.rs
     fin = lam.finite if isinstance(lam, AffineWeight) else vec(lam)
     if isinstance(lam, AffineWeight) and lam.k0 != ld.k:
         raise LevelError(f"weight has level {lam.k0}, expected {ld.k}")
     # lam + rho = u / den, and <lam + rho, alpha_vee> = (row . u) / den
-    u, den = int_vector(vec_add(fin, rs.rho))
+    u, den = _shifted_by_rho(fin)
     p, q = ld.p, ld.q
+    zero = Fraction(0)
     ok = True
     hits = []
     for alpha, row, s in zip(rs.positive_roots, rs.coroot_coords, rs.coroot_steps):
@@ -375,15 +400,19 @@ def verify_admissible(ld: LevelData, lam):
                   if (sign * v * q + m * p * den) % (q * den) == 0]
             if ms:
                 ok = ok and sign * v * q + ms[0] * p * den > 0
-                av = vec_scale(Fraction(sign), rs.coroot_image(alpha))
-                hits.extend(AffineWeight(av, Fraction(0), Fraction(m)) for m in ms)
+                av = tuple(Fraction(sign * s * int(x)) for x in alpha)
+                hits.extend(AffineWeight(av, zero, Fraction(m)) for m in ms)
     return ok, tuple(hits)
 
 
 def label_is_degenerate(ld: LevelData, label: AdmissibleLabel) -> bool:
-    """Whether some finite positive coroot pairs integrally with lam + rho."""
+    """Whether some finite positive coroot pairs integrally with lam + rho.
+
+    The pairings are integer sums over lam + rho = (u + den) / den, the rho
+    shift taken on the integer numerators.
+    """
     rs = ld.rs
-    u, den = int_vector(vec_add(label.lam.finite, rs.rho))
+    u, den = _shifted_by_rho(label.lam.finite)
     return any(
         sum(a * x for a, x in zip(row, u)) % den == 0 for row in rs.coroot_coords
     )

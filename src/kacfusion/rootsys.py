@@ -577,11 +577,14 @@ def langlands_dual_datum(rs: FiniteRootSystem) -> TwistedAffineDatum:
     )
 
 
+@lru_cache(maxsize=None)
 def dual_root_system(rs: FiniteRootSystem) -> FiniteRootSystem:
-    """Root system whose roots are the rescaled coroots of rs.
+    """Root system whose roots are the rescaled coroots of rs, memoised.
 
     The Cartan matrix transposes and d_i becomes 1 / (rvee * d_i); node
-    numbering is preserved. Simply laced types are self dual.
+    numbering is preserved. Simply laced types are self dual. Every call on
+    an equal system returns the same object, so the caches keyed on the dual
+    system hit.
     """
     cartan = transpose(rs.cartan)
     d = tuple(Fraction(1) / (rs.rvee * di) for di in rs.d)

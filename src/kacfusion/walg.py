@@ -25,7 +25,7 @@ from .admissible import (
     label_is_degenerate,
 )
 from .errors import FusionError, LevelError
-from .ratlin import frac, vec_add, vec_scale, vec_sub
+from .ratlin import frac, vec, vec_add, vec_scale, vec_sub
 from .rootsys import AffineWeight, FiniteRootSystem, dual_root_system
 from .smatrix import SMatrix, build_smatrix
 from .weyl import enumerate_weyl, extended_generators
@@ -73,9 +73,26 @@ def central_charge_w(ld: LevelData) -> Fraction:
     )
 
 
+def _diagonal_generators(rs: FiniteRootSystem, rs_dual: FiniteRootSystem):
+    """The sigma_j of both factors as integer data (wbar, Lambda_j, wbar', Lambda'_j).
+
+    The two generator tuples are matched positionally: for simply laced
+    types the dual system is the same diagram, and otherwise both groups
+    have order at most two. Lambda_j is a fundamental weight, so the
+    translations are integer vectors.
+    """
+    gens_main = extended_generators(rs, "principal")
+    gens_dual = extended_generators(rs_dual, "principal")
+    if len(gens_main) != len(gens_dual):
+        raise AssertionError("diagram automorphism groups of dual pair differ")
+    return tuple(
+        (g.wbar, tuple(map(int, g.beta)), gd.wbar, tuple(map(int, gd.beta)))
+        for g, gd in zip(gens_main, gens_dual)
+    )
+
+
 def _diagonal_orbit(
-    rs: FiniteRootSystem,
-    rs_dual: FiniteRootSystem,
+    gens,
     pair: Tuple[FiniteWeight, FiniteWeight],
     n1: int,
     n2: int,
@@ -83,26 +100,18 @@ def _diagonal_orbit(
     """Orbit of (lam, lamprime) under the simultaneous sigma_j action.
 
     sigma_j sends a level-n weight mu to sigma_j_bar(mu) + n Lambda_j; the
-    same group element acts on both factors at their own levels. The two
-    generator tuples are matched positionally: for simply laced types the
-    dual system is the same diagram, and otherwise both groups have order
-    at most two.
+    same group element acts on both factors at their own levels. gens comes
+    from _diagonal_generators; the action is integral, so integer pairs map
+    to integer pairs and Fraction pairs to Fraction pairs.
     """
-    gens_main = extended_generators(rs, "principal")
-    gens_dual = extended_generators(rs_dual, "principal")
-    if len(gens_main) != len(gens_dual):
-        raise AssertionError("diagram automorphism groups of dual pair differ")
     lam, lamp = pair
-    orbit = []
-    for g, gd in zip(gens_main, gens_dual):
-        a = tuple(
-            x + n1 * b for x, b in zip(g.wbar.act(lam), g.beta)
+    return [
+        (
+            tuple(x + n1 * b for x, b in zip(w.act(lam), beta)),
+            tuple(x + n2 * b for x, b in zip(wd.act(lamp), beta_d)),
         )
-        b = tuple(
-            x + n2 * c for x, c in zip(gd.wbar.act(lamp), gd.beta)
-        )
-        orbit.append((a, b))
-    return orbit
+        for w, beta, wd, beta_d in gens
+    ]
 
 
 def enumerate_wlabels(ld: LevelData) -> List[WLabel]:
@@ -110,7 +119,8 @@ def enumerate_wlabels(ld: LevelData) -> List[WLabel]:
 
     Returns the empty list when p < hvee or q < h (no labels). The
     cardinality is cross-checked against the count of nondegenerate
-    admissible weights: |labels| * |W| must equal that count.
+    admissible weights: |labels| * |W| must equal that count. Orbits are
+    taken on integer weights; Fractions are built once per label.
     """
     if ld.variant != "principal":
         raise LevelError("W-algebra labels require a principal admissible level")
@@ -120,6 +130,7 @@ def enumerate_wlabels(ld: LevelData) -> List[WLabel]:
     if n1 < 0 or n2 < 0:
         return []
     rsd = dual_root_system(rs)
+    gens = _diagonal_generators(rs, rsd)
     main = _dominant_weights(rs.comarks, n1)
     dual = _dominant_weights(rsd.comarks, n2)
     seen = set()
@@ -128,14 +139,13 @@ def enumerate_wlabels(ld: LevelData) -> List[WLabel]:
         for lamp in dual:
             if (lam, lamp) in seen:
                 continue
-            orbit = _diagonal_orbit(rs, rsd, (lam, lamp), n1, n2)
-            for member in orbit:
-                seen.add(member)
+            orbit = _diagonal_orbit(gens, (lam, lamp), n1, n2)
+            seen.update(orbit)
             rep = min(orbit)
             out.append(
                 WLabel(
-                    lam=AffineWeight(rep[0], frac(n1), frac(0)),
-                    lamprime=AffineWeight(rep[1], frac(n2), frac(0)),
+                    lam=AffineWeight(vec(rep[0]), frac(n1), frac(0)),
+                    lamprime=AffineWeight(vec(rep[1]), frac(n2), frac(0)),
                 )
             )
     out.sort(key=WLabel.key)
@@ -319,13 +329,14 @@ def check_fkw_factorization(ld: LevelData) -> Dict:
         return report
     report["hypothesis_ok"] = True
 
-    labels = enumerate_wlabels(ld)
+    wsm = w_smatrix(ld)
     rsd = dual_root_system(rs)
     n1 = ld.p - rs.hvee
     n2 = ld.q - rs.h
+    gens = _diagonal_generators(rs, rsd)
     reps = []
-    for lab in labels:
-        orbit = _diagonal_orbit(rs, rsd, lab.key(), n1, n2)
+    for lab in wsm.labels:
+        orbit = _diagonal_orbit(gens, lab.key(), n1, n2)
         inq = [
             pair
             for pair in orbit
@@ -337,7 +348,6 @@ def check_fkw_factorization(ld: LevelData) -> Dict:
             )
         reps.append(inq[0])
 
-    wsm = w_smatrix(ld)
     lhs = verlinde(wsm)
     f_main, idx_main = _integrable_fusion(rs, n1)
     f_dual, idx_dual = _integrable_fusion(rsd, n2)

@@ -1,6 +1,7 @@
 """Command line interface: output schemas, formats, and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -152,6 +153,36 @@ def test_wlabels(capsys):
     assert code == 0
     assert doc["count"] == 2
     assert doc["central_charge"] == "-22/5"
+
+
+# sha256 of the JSON output; every value in it is an exact rational or an
+# integer, so the digests hold on every platform
+GOLDEN = [
+    ("enumerate", "A1", "3,4", 0,
+     "28de0f13c9cd0d4614bda0e651bd5874345624a0167992c3bfaa20cd7124ea3a"),
+    ("wlabels", "A1", "3,4", 0,
+     "b1765026a2d2b79c0c1d6fc52d7b3061667581f7718cf8b8eb74889608d8e2c9"),
+    ("enumerate", "A2", "3,5", 0,
+     "ebde531668666c177099e2dba87ea0d2454bd17fd104b85cdf07d54a3092e17a"),
+    ("wlabels", "A2", "3,5", 0,
+     "8b8e2f602ad8c7365f266897fe0ce56f375527e1168f59fa31684681f883982f"),
+    ("enumerate", "B2", "5,2", 0,
+     "5334b775c2b6c709d44eb22d02c4a48c0ed9f6eedd0d7001fa854ba35b240d34"),
+    # coprincipal: W-labels are refused with exit 1 and no output
+    ("wlabels", "B2", "5,2", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("enumerate", "A3", "5,3", 0,
+     "54072436e56be01a7c4d8dbf3ee0e8ab5e128715b9b9eac564b3da0cfd07a10c"),
+    ("wlabels", "A3", "5,3", 0,
+     "ca2af19a34fc3098fa9e9a63d0b66438af6de4ddca24bd4b688236218fe4cb0e"),
+]
+
+
+@pytest.mark.parametrize("command,name,pq,code,digest", GOLDEN)
+def test_label_outputs_are_pinned(capsys, command, name, pq, code, digest):
+    got, out, _ = run(capsys, command, "--type", name, "--pq", pq, "--format", "json")
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_fusion_ising(capsys):

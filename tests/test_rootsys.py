@@ -1,7 +1,7 @@
 """Structural data of the finite root systems and their twisted partners."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -16,8 +16,8 @@ from kacfusion import (
     langlands_dual_datum,
     parse_spec,
 )
-from kacfusion.ratlin import mat_vec
-from kacfusion.rootsys import _root_norm2
+from kacfusion.ratlin import mat_vec, transpose
+from kacfusion.rootsys import _build_from_cartan, _root_norm2
 
 # type, marks, comarks, dual_marks, h, hvee, rvee, n_pos, cartan_det
 STRUCTURE = [
@@ -247,6 +247,8 @@ def test_integer_root_data(name):
             assert sum(k * x for k, x in zip(row, mu)) == 2 * pairing / n2
             assert sys.inner_finite(mu, alpha) == pairing
             assert step == 2 / n2
+            # verify_admissible takes the coroot image as this integer multiple
+            assert repr(sys.coroot_image(alpha)) == repr(tuple(step * x for x in alpha))
         assert sys.fundamental_group_order == _gauss(sys.cartan, mu)[0]
         assert all(Fraction(a, sys.fundamental_group_order) == b
                    for ra, rb in zip(sys.cartan_adj, sys.cartan_inv)
@@ -260,6 +262,15 @@ def test_build_is_memoised_per_type():
     assert build_root_system(RootSystemSpec("B", 3)) is rs
     assert build_root_system(" B3 ") is rs
     assert build_root_system("C3") is not rs
+    for spec in all_specs():
+        rs = build_root_system(spec)
+        rsd = dual_root_system(rs)
+        assert dual_root_system(rs) is rsd
+        fresh = _build_from_cartan(
+            rs.spec, transpose(rs.cartan),
+            tuple(Fraction(1) / (rs.rvee * di) for di in rs.d))
+        assert all(getattr(rsd, f.name) == getattr(fresh, f.name)
+                   for f in fields(rsd))
 
 
 def test_hash_consistent_with_equality():

@@ -25,10 +25,15 @@ from kacfusion import (
     w_smatrix,
     weyl_order,
 )
-from kacfusion.ratlin import vec_add, vec_scale, vec_sub
-from kacfusion.rootsys import dual_root_system
-from kacfusion.walg import _affine_class
-from kacfusion.weyl import enumerate_weyl
+from kacfusion.ratlin import vec, vec_add, vec_scale, vec_sub
+from kacfusion.rootsys import AffineWeight, dual_root_system
+from kacfusion.walg import (
+    WLabel,
+    _affine_class,
+    _diagonal_generators,
+    _diagonal_orbit,
+)
+from kacfusion.weyl import enumerate_weyl, extended_generators
 
 
 def level_data(name, p, q):
@@ -78,6 +83,68 @@ def test_label_counts(name, p, q, count):
     ndeg = sum(1 for lab in enumerate_admissible(ld)
                if not label_is_degenerate(ld, lab))
     assert count * weyl_order(ld.rs) == ndeg
+
+
+def _fraction_orbit(ld, pair):
+    """The diagonal sigma_j orbit of a pair, in Fraction arithmetic."""
+    rs = ld.rs
+    rsd = dual_root_system(rs)
+    n1, n2 = ld.p - rs.hvee, ld.q - rs.h
+    lam, lamp = pair
+    return [
+        (tuple(x + n1 * b for x, b in zip(g.wbar.act(lam), g.beta)),
+         tuple(x + n2 * c for x, c in zip(gd.wbar.act(lamp), gd.beta)))
+        for g, gd in zip(extended_generators(rs, "principal"),
+                         extended_generators(rsd, "principal"))
+    ]
+
+
+def _wlabels_by_fraction_orbits(ld):
+    """Orbit-reduced W-labels from Fraction weights and Fraction orbits."""
+    rs = ld.rs
+    n1, n2 = ld.p - rs.hvee, ld.q - rs.h
+    if n1 < 0 or n2 < 0:
+        return []
+
+    def dominant(coeffs, level):
+        out = [()]
+        for c in coeffs:
+            out = [w + (n,) for w in out
+                   for n in range((level - sum(a * x for a, x in zip(coeffs, w))) // c + 1)]
+        return [vec(w) for w in out]
+
+    seen, out = set(), []
+    for lam in dominant(rs.comarks, n1):
+        for lamp in dominant(dual_root_system(rs).comarks, n2):
+            if (lam, lamp) in seen:
+                continue
+            orbit = _fraction_orbit(ld, (lam, lamp))
+            seen.update(orbit)
+            rep = min(orbit)
+            out.append(WLabel(AffineWeight(rep[0], Fraction(n1), Fraction(0)),
+                              AffineWeight(rep[1], Fraction(n2), Fraction(0))))
+    return sorted(out, key=WLabel.key)
+
+
+@pytest.mark.parametrize("name,p,q", [
+    ("A1", 2, 3), ("A1", 2, 5), ("A1", 3, 4), ("A1", 3, 5), ("A1", 4, 5),
+    ("A1", 5, 6), ("A1", 3, 1), ("A1", 5, 2), ("A2", 4, 3), ("A2", 5, 4),
+    ("A2", 3, 4), ("A2", 4, 1), ("A3", 5, 4), ("G2", 7, 2), ("B2", 5, 3),
+] + [("A1", p, 9) for p in range(2, 9) if math.gcd(p, 9) == 1])
+def test_integer_orbits_match_fraction_orbits(name, p, q):
+    # the integer orbit route gives the labels of the Fraction route, with
+    # Fraction coordinates, and the orbit of a label's Fraction key stays
+    # in Fractions
+    ld = level_data(name, p, q)
+    labels = enumerate_wlabels(ld)
+    assert repr(labels) == repr(_wlabels_by_fraction_orbits(ld))
+    assert all(type(x) is Fraction
+               for wl in labels for x in wl.lam.finite + wl.lamprime.finite)
+    rs = ld.rs
+    gens = _diagonal_generators(rs, dual_root_system(rs))
+    for wl in labels:
+        orbit = _diagonal_orbit(gens, wl.key(), ld.p - rs.hvee, ld.q - rs.h)
+        assert repr(orbit) == repr(_fraction_orbit(ld, wl.key()))
 
 
 def test_no_labels_below_threshold():
