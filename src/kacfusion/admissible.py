@@ -39,6 +39,7 @@ __all__ = [
     "LevelData",
     "decompose_mu",
     "enumerate_admissible",
+    "is_admissible",
     "label_from_mu",
     "label_is_degenerate",
     "verify_admissible",
@@ -366,6 +367,32 @@ def _shifted_by_rho(fin):
     return tuple(x + den for x in u), den
 
 
+def _progressions(ld: LevelData, lam):
+    """The progressions of verify_admissible with an integral value in their
+    first period: (alpha, sign s, the m's of those values, whether the first
+    value is positive) per finite root direction and sign."""
+    rs = ld.rs
+    fin = lam.finite if isinstance(lam, AffineWeight) else vec(lam)
+    if isinstance(lam, AffineWeight) and lam.k0 != ld.k:
+        raise LevelError(f"weight has level {lam.k0}, expected {ld.k}")
+    # lam + rho = u / den, and <lam + rho, alpha_vee> = (row . u) / den
+    u, den = _shifted_by_rho(fin)
+    p, q = ld.p, ld.q
+    for alpha, row, s in zip(rs.positive_roots, rs.coroot_coords, rs.coroot_steps):
+        v = sum(a * x for a, x in zip(row, u))
+        for sign, start in ((1, 0), (-1, s)):
+            # the value at m is (sign v q + m p den) / (q den)
+            ms = [m for m in range(start, start + q * s, s)
+                  if (sign * v * q + m * p * den) % (q * den) == 0]
+            if ms:
+                yield alpha, sign * s, ms, sign * v * q + ms[0] * p * den > 0
+
+
+def is_admissible(ld: LevelData, lam) -> bool:
+    """The ok flag of verify_admissible, without building the coroots."""
+    return all(positive for *_, positive in _progressions(ld, lam))
+
+
 def verify_admissible(ld: LevelData, lam):
     """Check the pairing condition of admissibility directly.
 
@@ -382,26 +409,13 @@ def verify_admissible(ld: LevelData, lam):
     and rho is (1, ..., 1), so lam + rho = (u + den) / den for lam = u / den:
     the pairings are integer sums.
     """
-    rs = ld.rs
-    fin = lam.finite if isinstance(lam, AffineWeight) else vec(lam)
-    if isinstance(lam, AffineWeight) and lam.k0 != ld.k:
-        raise LevelError(f"weight has level {lam.k0}, expected {ld.k}")
-    # lam + rho = u / den, and <lam + rho, alpha_vee> = (row . u) / den
-    u, den = _shifted_by_rho(fin)
-    p, q = ld.p, ld.q
     zero = Fraction(0)
     ok = True
     hits = []
-    for alpha, row, s in zip(rs.positive_roots, rs.coroot_coords, rs.coroot_steps):
-        v = sum(a * x for a, x in zip(row, u))
-        for sign, start in ((1, 0), (-1, s)):
-            # the value at m is (sign v q + m p den) / (q den)
-            ms = [m for m in range(start, start + q * s, s)
-                  if (sign * v * q + m * p * den) % (q * den) == 0]
-            if ms:
-                ok = ok and sign * v * q + ms[0] * p * den > 0
-                av = tuple(Fraction(sign * s * int(x)) for x in alpha)
-                hits.extend(AffineWeight(av, zero, Fraction(m)) for m in ms)
+    for alpha, step, ms, positive in _progressions(ld, lam):
+        ok = ok and positive
+        av = tuple(Fraction(step * int(x)) for x in alpha)
+        hits.extend(AffineWeight(av, zero, Fraction(m)) for m in ms)
     return ok, tuple(hits)
 
 

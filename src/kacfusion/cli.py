@@ -14,6 +14,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,8 +22,8 @@ import numpy as np
 from .admissible import (
     LevelData,
     enumerate_admissible,
+    is_admissible,
     label_is_degenerate,
-    verify_admissible,
 )
 from .chars import EvalPoint, char_chi, theta_jacobi_check, theta_lattice_check
 from .errors import KacfusionError
@@ -97,7 +98,9 @@ def _parse_xlist(text: str) -> Optional[Tuple[complex, ...]]:
 
 
 def _rat(x) -> object:
-    f = Fraction(x)
+    if isinstance(x, int):
+        return int(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
@@ -214,7 +217,7 @@ def _label_payload(ld: LevelData, lab) -> dict:
 def _cmd_enumerate(args) -> int:
     ld = _level_data(args)
     labels = enumerate_admissible(ld)
-    ok = all(verify_admissible(ld, lab.lam)[0] for lab in labels)
+    ok = all(is_admissible(ld, lab.lam) for lab in labels)
     payload = {
         **_head(ld),
         "variant": ld.variant,
@@ -367,18 +370,24 @@ def _cmd_theta_check(args) -> int:
         rs, lattice, mu, args.index, args.tau, zvec,
         tol=min(args.tol * 1e-2, 1e-10), max_points=args.trunc,
     )
+    # rounding grows with |Theta|, so the gate reads each residual relative to
+    # the larger side (and absolute below 1)
+    rel = [
+        r["abs_error"] / max(1.0, abs(r["lhs"]), abs(r["rhs"])) for r in (scalar, lat)
+    ]
     payload = {
         "type": str(rs.spec),
         "seed": args.seed,
         "tau": _cx(args.tau),
         "scalar_residual": scalar["abs_error"],
         "lattice_residual": lat["abs_error"],
+        "scalar_relative_residual": rel[0],
+        "lattice_relative_residual": rel[1],
         "lattice": args.lattice,
         "index": args.index,
         "tolerance": args.tol,
     }
-    return _gate(payload, args, max(scalar["abs_error"], lat["abs_error"]),
-                 "theta transform")
+    return _gate(payload, args, max(rel), "theta transform relative")
 
 
 def _cmd_wlabels(args) -> int:
@@ -406,10 +415,12 @@ def _cmd_fusion(args) -> int:
     ft = verlinde(sm)
     n = len(sm.labels)
     vac = vacuum_index(sm.labels)
+    # np.nonzero lists the entries in row-major (a, b, c) order: the table's
+    # order, on which the groupby over (a, b) below relies
+    nz = np.nonzero(ft.N)
     table = [
-        {"a": a, "b": b, "c": c, "N": int(ft.N[a, b, c])}
-        for a in range(n) for b in range(n) for c in range(n)
-        if ft.N[a, b, c]
+        {"a": a, "b": b, "c": c, "N": v}
+        for a, b, c, v in zip(*(x.tolist() for x in nz), ft.N[nz].tolist())
     ]
     payload = {
         **_head(ld),
@@ -425,13 +436,12 @@ def _cmd_fusion(args) -> int:
     }
     rows = [["a", "b", "c", "N"]] + [[d["a"], d["b"], d["c"], d["N"]] for d in table]
     pretty = [f"{k}: {v}" for k, v in payload.items() if k not in ("table", "labels")]
-    for a in range(n):
-        for b in range(a, n):
-            terms = [
-                (f"{ft.N[a, b, c]}*" if ft.N[a, b, c] > 1 else "") + f"[{c}]"
-                for c in range(n) if ft.N[a, b, c]
-            ]
-            pretty.append(f"  [{a}] x [{b}] = " + (" + ".join(terms) or "0"))
+    sums = {
+        ab: " + ".join((f"{d['N']}*" if d["N"] > 1 else "") + f"[{d['c']}]" for d in ds)
+        for ab, ds in groupby(table, key=lambda d: (d["a"], d["b"]))
+    }
+    pretty += [f"  [{a}] x [{b}] = {sums.get((a, b), '0')}"
+               for a in range(n) for b in range(a, n)]
     _emit(payload, args, csv_rows=rows, pretty=pretty)
     return 0
 

@@ -18,14 +18,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .admissible import (
-    AdmissibleLabel,
     LevelData,
     _dominant_weights,
     enumerate_admissible,
     label_is_degenerate,
 )
 from .errors import FusionError, LevelError
-from .ratlin import frac, vec, vec_add, vec_scale, vec_sub
+from .ratlin import frac, vec
 from .rootsys import AffineWeight, FiniteRootSystem, dual_root_system
 from .smatrix import SMatrix, build_smatrix
 from .weyl import enumerate_weyl, extended_generators
@@ -168,32 +167,30 @@ def vacuum_index(labels) -> int:
 
 
 def _affine_class(
-    ld: LevelData,
-    rsd: FiniteRootSystem,
-    wl: WLabel,
-    by_lam: Dict[FiniteWeight, AdmissibleLabel],
-) -> List[AdmissibleLabel]:
-    """Admissible labels whose trace functions equal that of wl.
+    ld: LevelData, W, wl: WLabel, position: Dict[Tuple[int, ...], int]
+) -> List[int]:
+    """Positions of the admissible labels whose trace functions equal that of wl.
 
     The pair maps to lam + rho - (p/q)(lamprime + rho_dual); acting with
-    the full finite Weyl group yields |W| distinct nondegenerate admissible
-    labels, all with the same psi function. by_lam maps the finite part of
-    each admissible label of the level to that label.
+    the finite Weyl group W (enumerate_weyl(ld.rs)) yields |W| distinct
+    nondegenerate admissible labels, all with the same psi function. Scaled
+    by q the images are integer vectors q (lam + rho), rho = (1, ..., 1) on
+    both factors, and position maps the vector of each admissible label to
+    its index. Returns the indices in ascending order.
     """
-    rs = ld.rs
-    mu = vec_add(wl.lam.finite, rs.rho)
-    mup = vec_add(wl.lamprime.finite, rsd.rho)
-    base = vec_sub(mu, vec_scale(ld.m, mup))
+    p, q = ld.p, ld.q
+    base = [q * (int(a) + 1) - p * (int(b) + 1)
+            for a, b in zip(wl.lam.finite, wl.lamprime.finite)]
     out = set()
-    for w in enumerate_weyl(rs):
-        lam = vec_sub(w.act(base), rs.rho)
-        if lam not in by_lam:
-            weight = ", ".join(str(x) for x in lam)
+    for w in W:
+        qmu = w.act(base)
+        if qmu not in position:
+            weight = ", ".join(str(Fraction(x - q, q)) for x in qmu)
             raise AssertionError(f"class weight ({weight}) is not admissible")
-        out.add(by_lam[lam])
-    if len(out) != len(enumerate_weyl(rs)):
+        out.add(position[qmu])
+    if len(out) != len(W):
         raise AssertionError("pair-to-admissible map collapsed an orbit")
-    return sorted(out, key=lambda lab: lab.lam.finite)
+    return sorted(out)
 
 
 def w_smatrix(ld: LevelData) -> SMatrix:
@@ -209,28 +206,30 @@ def w_smatrix(ld: LevelData) -> SMatrix:
     """
     labels = tuple(enumerate_wlabels(ld))
     rs = ld.rs
-    rsd = dual_root_system(rs)
     sm = build_smatrix(ld)
-    index = {lab: i for i, lab in enumerate(sm.labels)}
-    by_lam = {lab.lam.finite: lab for lab in enumerate_admissible(ld)}
-    classes = [_affine_class(ld, rsd, wl, by_lam) for wl in labels]
-    flat = [lab for cl in classes for lab in cl]
+    q = ld.q
+    # q (lam + rho) is an integer vector: the denominators of lam divide q
+    position = {
+        tuple(x.numerator * (q // x.denominator) + q for x in lab.lam.finite): i
+        for i, lab in enumerate(sm.labels)
+    }
+    W = enumerate_weyl(rs)
+    classes = [_affine_class(ld, W, wl, position) for wl in labels]
+    flat = [i for cl in classes for i in cl]
     if len(flat) != len(set(flat)):
         raise AssertionError("trace-function classes overlap")
     n = len(labels)
     pref = (-1j) ** rs.num_positive_roots
-    cols = [
-        np.array([index[lab] for lab in cl], dtype=np.intp) for cl in classes
-    ]
+    cols = [np.array(cl, dtype=np.intp) for cl in classes]
     out = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
-        row = sm.matrix[index[classes[i][0]]]
+        row = sm.matrix[classes[i][0]]
         for j in range(n):
             out[i, j] = pref * row[cols[j]].sum()
     for i in range(n):
         if len(classes[i]) < 2:
             continue
-        row = sm.matrix[index[classes[i][1]]]
+        row = sm.matrix[classes[i][1]]
         for j in range(n):
             if abs(pref * row[cols[j]].sum() - out[i, j]) > 1e-9:
                 raise AssertionError(
@@ -303,8 +302,9 @@ def verlinde(
 def _integrable_fusion(rs: FiniteRootSystem, level: int) -> Tuple[FusionTensor, Dict]:
     ld = LevelData.from_pq(rs, level + rs.hvee, 1)
     sm = build_smatrix(ld)
-    index = {lab.lam.finite: i for i, lab in enumerate(sm.labels)}
-    vac = index[tuple(frac(0) for _ in range(rs.rank))]
+    # at q = 1 the labels are integral weights: key them on ints
+    index = {tuple(map(int, lab.lam.finite)): i for i, lab in enumerate(sm.labels)}
+    vac = index[(0,) * rs.rank]
     return verlinde(sm, vacuum=vac), index
 
 
@@ -352,8 +352,8 @@ def check_fkw_factorization(ld: LevelData) -> Dict:
     f_main, idx_main = _integrable_fusion(rs, n1)
     f_dual, idx_dual = _integrable_fusion(rsd, n2)
 
-    i = [idx_main[r[0]] for r in reps]
-    j = [idx_dual[r[1]] for r in reps]
+    i = [idx_main[tuple(map(int, r[0]))] for r in reps]
+    j = [idx_dual[tuple(map(int, r[1]))] for r in reps]
     rhs = f_main.N[np.ix_(i, i, i)] * f_dual.N[np.ix_(j, j, j)]
     diff = np.abs(lhs.N - rhs)
     report["lhs"] = lhs

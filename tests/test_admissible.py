@@ -15,13 +15,20 @@ from kacfusion import (
     coroot_basis_Sq,
     enumerate_admissible,
     enumerate_weyl,
+    is_admissible,
     label_from_mu,
     label_is_degenerate,
     verify_admissible,
     weyl_order,
 )
 from kacfusion.admissible import AdmissibleLabel, _chamber_nu, _triple_key
-from kacfusion.ratlin import lattice_coset_reps, vec_add, vec_scale, vec_sub
+from kacfusion.ratlin import (
+    int_vector,
+    lattice_coset_reps,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from kacfusion.rootsys import AffineWeight, affine
 from kacfusion.weyl import affine_action
 
@@ -99,9 +106,11 @@ def test_non_admissible_weight_detected():
     # lam + rho pairs to zero with the simple coroot
     ok, _ = verify_admissible(ld, affine((Fraction(-1),), k0=ld.k))
     assert not ok
+    assert not is_admissible(ld, affine((Fraction(-1),), k0=ld.k))
     # pairing hits a negative integer further down the orbit
     ok, _ = verify_admissible(ld, affine((Fraction(-3),), k0=ld.k))
     assert not ok
+    assert not is_admissible(ld, affine((Fraction(-3),), k0=ld.k))
 
 
 @pytest.mark.parametrize("name,p,q,degenerate", [
@@ -324,3 +333,54 @@ def test_enumeration_never_lists_the_weyl_group(name, p):
     labels = enumerate_admissible.__wrapped__(ld)
     assert enumerate_weyl.cache_info().misses == misses
     assert len(labels) == len(_chamber_nu(ld))
+
+
+def _verify_one_loop(ld, lam):
+    """verify_admissible as one loop that builds the hits as it scans: the
+    reference for the scan shared with is_admissible."""
+    rs = ld.rs
+    fin = lam.finite
+    u, den = int_vector(fin)
+    u = tuple(x + den for x in u)
+    p, q = ld.p, ld.q
+    zero = Fraction(0)
+    ok = True
+    hits = []
+    for alpha, row, s in zip(rs.positive_roots, rs.coroot_coords, rs.coroot_steps):
+        v = sum(a * x for a, x in zip(row, u))
+        for sign, start in ((1, 0), (-1, s)):
+            ms = [m for m in range(start, start + q * s, s)
+                  if (sign * v * q + m * p * den) % (q * den) == 0]
+            if ms:
+                ok = ok and sign * v * q + ms[0] * p * den > 0
+                av = tuple(Fraction(sign * s * int(x)) for x in alpha)
+                hits.extend(AffineWeight(av, zero, Fraction(m)) for m in ms)
+    return ok, tuple(hits)
+
+
+# the W-algebra levels of the w-fusion benchmark and every A1 level with
+# p, q <= 9
+W_ALGEBRA_LEVELS = [
+    ("A2", 3, 4), ("A2", 3, 5), ("B2", 3, 5), ("C2", 3, 5), ("G2", 4, 7),
+    ("A2", 4, 5), ("A2", 7, 5), ("A3", 5, 3),
+] + [("A1", p, q) for q in range(1, 10) for p in range(2, 10) if gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("name,p,q", W_ALGEBRA_LEVELS)
+def test_is_admissible_matches_verify_admissible(name, p, q):
+    # every label, and each label shifted by -1 in one coordinate
+    ld = level_data(name, p, q)
+    weights = []
+    for lab in enumerate_admissible(ld):
+        weights.append(lab.lam)
+        for i in range(ld.rs.rank):
+            fin = list(lab.lam.finite)
+            fin[i] -= 1
+            weights.append(affine(fin, k0=ld.k))
+    rejected = 0
+    for lam in weights:
+        got = verify_admissible(ld, lam)
+        assert repr(got) == repr(_verify_one_loop(ld, lam))
+        assert is_admissible(ld, lam) is got[0]
+        rejected += not got[0]
+    assert rejected > 0

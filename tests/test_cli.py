@@ -1,18 +1,24 @@
 """Command line interface: output schemas, formats, and exit codes."""
 
+import cmath
 import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import kacfusion.cli as cli_module
 import kacfusion.smatrix as smatrix_module
+from kacfusion import chars
 from kacfusion.cli import main
+from kacfusion.ratlin import lattice_coset_reps, transpose
 
 
 def run(capsys, *argv):
@@ -136,6 +142,56 @@ def test_theta_check_small_im_tau(capsys, argv):
     assert doc["pass"] is True
 
 
+def test_theta_check_gates_the_relative_residual(capsys):
+    # |Theta| is about 1.8e7 at tau = 0.02i: rounding alone leaves an
+    # absolute Jacobi residual near 2e-8, above the default --tol
+    code, doc, _ = run_json(capsys, "theta-check", "--type", "A1", "--tau", "0.02i")
+    assert code == 0
+    assert doc["pass"] is True
+    assert doc["scalar_relative_residual"] < 1e-13
+    assert doc["lattice_relative_residual"] < 1e-10
+    assert doc["scalar_residual"] >= doc["scalar_relative_residual"]
+    assert doc["lattice_residual"] >= doc["lattice_relative_residual"]
+
+
+def _theta_lattice_check_wrong_phase(rs, lattice, mu, m, tau, z=None, t=0j,
+                                     tol=1e-10, max_points=2_000_000):
+    """chars.theta_lattice_check with the mu' phase e^{-2 pi i (mu, mu')/m}
+    squared: a wrong transform."""
+    n = rs.rank
+    lat = chars._lattice(rs, lattice)
+    zc = np.zeros(n, dtype=complex) if z is None else np.array(z, dtype=complex)
+    zz = complex(zc @ lat.gram @ zc)
+    tau = complex(tau)
+    lhs = chars.theta_lattice(rs, lattice, mu, m, -1 / tau, zc / tau,
+                              complex(t) - zz / (2 * tau), tol=tol,
+                              max_points=max_points)
+    cols = transpose(lattice)
+    mL = tuple(tuple(m * rs.inner_finite(a, b) for b in cols) for a in cols)
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    reps = (np.array(lattice_coset_reps(eye, mL), dtype=float)
+            @ np.linalg.inv(lat.gram @ lat.basis))
+    tpref = cmath.exp(2j * math.pi * m * complex(t))
+    sums, _, bound = chars._theta_sums(lat, reps, m, tau, zc, tol / abs(tpref),
+                                       max_points)
+    phases = np.exp(-4j * math.pi * (reps @ lat.gram @ chars._floats(mu)) / m)
+    pref = cmath.exp((n / 2) * cmath.log(-1j * tau)) / math.sqrt(len(reps)) * tpref
+    rhs = pref * complex(phases @ sums)
+    return {"lhs": lhs.value, "rhs": rhs, "abs_error": abs(lhs.value - rhs),
+            "tail_bound": lhs.tail_bound + abs(pref) * len(reps) * bound}
+
+
+@pytest.mark.parametrize("tau", ["i", "0.02i"])
+def test_theta_check_wrong_transform_exits_two(capsys, monkeypatch, tau):
+    monkeypatch.setattr(cli_module, "theta_lattice_check",
+                        _theta_lattice_check_wrong_phase)
+    code, doc, err = run_json(capsys, "theta-check", "--type", "A1", "--tau", tau)
+    assert code == 2
+    assert doc["pass"] is False
+    assert doc["lattice_relative_residual"] > 1e-3
+    assert "theta transform relative residual" in err
+
+
 def test_theta_check_index_must_make_the_lattice_integral(capsys):
     # the G2 root lattice has (alpha, alpha) = 2/3 on short roots
     code, out, err = run(capsys, "theta-check", "--type", "G2", "--lattice", "Q")
@@ -183,6 +239,84 @@ def test_label_outputs_are_pinned(capsys, command, name, pq, code, digest):
     got, out, _ = run(capsys, command, "--type", name, "--pq", pq, "--format", "json")
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the fusion and factorize output in every format. The fusion
+# payload carries max_rounding_error, a float from numpy's matrix products:
+# the digests assume numpy's float result of those products on x86-64.
+W_GOLDEN = [
+    ("fusion", "A1", "3,4", "json", 0,
+     "9ddbcb853de3250c004f5203b4108a45f52c14c83092e4378b9f1855b4a7eeea"),
+    ("fusion", "A1", "3,4", "csv", 0,
+     "1d956875d8c7d575b79e7a33d39403ee4b998df2bd286bf1e008b75f8efce18b"),
+    ("fusion", "A1", "3,4", "pretty", 0,
+     "55693f70095fba6dd6e195ed60a26bb26771a26d5bd77920c7b3734e5d9c9908"),
+    ("fusion", "A1", "4,9", "json", 0,
+     "f17f3b4882483176ccb615e255603259abd257d1339832832b07f3010aa19c3b"),
+    ("fusion", "A1", "4,9", "csv", 0,
+     "c59713bcb37838207e12bd2dac498de962af1dbb0ea7d85db37f62161f8ea210"),
+    ("fusion", "A1", "4,9", "pretty", 0,
+     "4225cba1c137a36134f6f8437457359b56b6fcc89f25b7d75541cc31d668567d"),
+    ("fusion", "A2", "3,4", "json", 0,
+     "8052656d94f0e12c4964836443d997cdb128d1da29c0ecdb7755ec40005e1c06"),
+    ("fusion", "A2", "3,4", "csv", 0,
+     "d2e2d74df3a0520e2c2127be3c346ba1f588d1a607cf342d3b1e534346f05c02"),
+    ("fusion", "A2", "3,4", "pretty", 0,
+     "e56c9683e4173a92f2be56b1767c9bb4c5505fc6c63c8ff753dd37dfb6404eff"),
+    ("fusion", "A2", "3,5", "json", 0,
+     "09995e1d14e8e08426179db965fc46396dd83bf6f99d7807bd69703f7a49c129"),
+    ("fusion", "A2", "3,5", "csv", 0,
+     "062274ec1c4e6e2ac562cd649c31b5edd7f4bb3f6273aefce5e1c03be72049b8"),
+    ("fusion", "A2", "3,5", "pretty", 0,
+     "8fb20f902b663f9af576a890d59f8ef0775c46e1713bf08251edb6982dbd8193"),
+    ("factorize", "A1", "3,4", "json", 2,
+     "639b3921f7557cfa43a16d0e3c0ff13a02592acf7130d05231d374fc5ff6c9dc"),
+    ("factorize", "A1", "3,4", "csv", 2,
+     "2043c886c53bc3cf9c102afcc0955fc09a63fe2f489db48c64b1953483946874"),
+    ("factorize", "A1", "3,4", "pretty", 2,
+     "926c1a853bb7f1a9ca9943ce943ea1a2c76b4128a13d06e5b50345f0c199c48b"),
+    ("factorize", "A1", "4,9", "json", 0,
+     "4dc0f03ee2aebe70248fe5ebdd36dc55802c29adfd07d75943ad9743b40e3304"),
+    ("factorize", "A1", "4,9", "csv", 0,
+     "65bffdb81ea2529134147c2380f4236418682f2ca30b21dfd982dc397a69e7d6"),
+    ("factorize", "A1", "4,9", "pretty", 0,
+     "135689f8fd2bc1a2f6063d8118e6c779a3aeaaee4f15950db3cfc084cdf6f1cc"),
+    ("factorize", "A2", "3,4", "json", 0,
+     "791c4eac59f6952b76c738f57c2f414ce3ea8eccc860605ee72ac0fdc78633bc"),
+    ("factorize", "A2", "3,4", "csv", 0,
+     "bc25f349e482a4faacec789353013dba782d1c985ec4ca058ef493a9da2b9f00"),
+    ("factorize", "A2", "3,4", "pretty", 0,
+     "48bce7daf76d84dcc9d943d862fbfa2f1be16a1e4062043680e08db3e60468c6"),
+    ("factorize", "A2", "3,5", "json", 0,
+     "e861421394e3bba0f5fd1078622b0507882b883b799c478aae737604b2676c7c"),
+    ("factorize", "A2", "3,5", "csv", 0,
+     "382fc456d78bd1acd0053f458920950449790b63de173f9111e1246c6a161077"),
+    ("factorize", "A2", "3,5", "pretty", 0,
+     "e54b323ac4062c191db93a46c8957b4d52c93cf9c66bd98cf73ba767cf620c12"),
+]
+
+
+@pytest.mark.parametrize("command,name,pq,fmt,code,digest", W_GOLDEN)
+def test_w_outputs_are_pinned(capsys, command, name, pq, fmt, code, digest):
+    got, out, _ = run(capsys, command, "--type", name, "--pq", pq, "--format", fmt)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _rat_by_rebuild(x):
+    """_rat as it was: every input rebuilt as a Fraction."""
+    f = Fraction(x)
+    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+@pytest.mark.parametrize("x", [
+    0, 7, -3, True, Fraction(6, 3), Fraction(-3, 4), Fraction(0),
+    np.int64(5), np.int64(-12), 0.5, 2.0, 0.1, -1.25,
+])
+def test_rat_matches_the_fraction_rebuild(x):
+    got, want = cli_module._rat(x), _rat_by_rebuild(x)
+    assert got == want
+    assert type(got) is type(want)
 
 
 def test_fusion_ising(capsys):

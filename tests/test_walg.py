@@ -221,24 +221,29 @@ def test_w_smatrix_unitary_symmetric(name, p, q):
 
 @pytest.mark.parametrize("name,p,q", [("A1", 3, 4), ("A2", 3, 4), ("A3", 5, 4)])
 def test_affine_classes_are_label_from_mu_images(name, p, q):
-    # the class lookup returns exactly the labels label_from_mu derives from
-    # the Weyl images of lam + rho - (p/q)(lamprime + rho_dual)
+    # the class lookup returns exactly the positions of the labels
+    # label_from_mu derives from the Weyl images of
+    # lam + rho - (p/q)(lamprime + rho_dual)
     ld = level_data(name, p, q)
     rs, rsd = ld.rs, dual_root_system(ld.rs)
-    by_lam = {lab.lam.finite: lab for lab in enumerate_admissible(ld)}
+    admissible = build_smatrix(ld).labels
+    position = {tuple(int(q * x) for x in vec_add(lab.lam.finite, rs.rho)): i
+                for i, lab in enumerate(admissible)}
+    W = enumerate_weyl(rs)
     labels = enumerate_wlabels(ld)
     assert labels
     for wl in labels:
         base = vec_sub(vec_add(wl.lam.finite, rs.rho),
                        vec_scale(ld.m, vec_add(wl.lamprime.finite, rsd.rho)))
-        images = {label_from_mu(ld, w.act(base)) for w in enumerate_weyl(rs)}
+        images = {label_from_mu(ld, w.act(base)) for w in W}
         expected = sorted(images, key=lambda lab: lab.lam.finite)
-        assert _affine_class(ld, rsd, wl, by_lam) == expected
-    missing = dict(by_lam)
-    del missing[expected[0].lam.finite]
+        got = [admissible[i] for i in _affine_class(ld, W, wl, position)]
+        assert got == expected
+    missing = dict(position)
+    del missing[tuple(int(q * x) for x in vec_add(expected[0].lam.finite, rs.rho))]
     weight = ", ".join(str(x) for x in expected[0].lam.finite)
     with pytest.raises(AssertionError, match=re.escape(f"({weight})")):
-        _affine_class(ld, rsd, labels[-1], missing)
+        _affine_class(ld, W, labels[-1], missing)
 
 
 # --------------------------------------------------------------------- fusion
